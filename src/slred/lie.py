@@ -1,9 +1,9 @@
 """Exact rational linear algebra on gl_N / sl_N.
 
-Matrices are sparse, 1-based and carry `fractions.Fraction` entries; ranks are
-computed by fraction-free (Bareiss) elimination so that every goodness or
-non-degeneracy verdict in the package is exact.  No floating point numbers
-appear anywhere.
+Matrices are sparse, 1-based and carry `fractions.Fraction` entries.  Every
+rank, kernel and inverse comes from one fraction-free elimination kernel on
+sparse `{column: value}` rows, so every goodness or non-degeneracy verdict in
+the package is exact.  No floating point numbers appear anywhere.
 """
 
 from __future__ import annotations
@@ -129,13 +129,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.n, {(j, i): v for (i, j), v in self._e.items()})
 
-    def rows(self) -> list[list[Fraction]]:
-        """Dense row-major copy (for elimination routines)."""
-        out = [[_ZERO] * self.n for _ in range(self.n)]
-        for (i, j), v in self._e.items():
-            out[i - 1][j - 1] = v
-        return out
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -231,7 +224,10 @@ class ExactMatrix:
     # ------------------------------------------------------------------
 
     def rank(self) -> int:
-        return rank_of_rows(self.rows())
+        rows: dict[int, SparseRow] = {}
+        for (i, j), v in self._e.items():
+            rows.setdefault(i, {})[j] = v
+        return rank_of_rows(list(rows.values()))
 
     def inverse(self) -> "ExactMatrix":
         return inverse(self)
@@ -274,124 +270,118 @@ def trace_form(a: ExactMatrix, b: ExactMatrix) -> Fraction:
 # exact elimination
 # ----------------------------------------------------------------------
 
+SparseRow = dict  # {column: value}; columns are any mutually comparable keys
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+
+def ad_rows(f: ExactMatrix, units: Iterable[tuple[int, int]]) -> list[SparseRow]:
+    """The images [f, E_ij] of matrix units, as sparse rows keyed by (row, col).
+
+    [f, E_ij] = sum_k f[k,i] E_kj - sum_l f[j,l] E_il, so each image costs
+    one column and one row of f instead of a full product.
+    """
+    cols: dict[int, list[tuple[int, Fraction]]] = {}
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for (a, b), v in f._e.items():
+        cols.setdefault(b, []).append((a, v))
+        rows.setdefault(a, []).append((b, v))
     out = []
-    for row in rows:
-        scale = 1
-        for v in row:
-            if v:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        out.append([int(v * scale) for v in row])
+    for i, j in units:
+        image = {(k, j): v for k, v in cols.get(i, ())}
+        for l, v in rows.get(j, ()):
+            s = image.pop((i, l), _ZERO) - v
+            if s:
+                image[(i, l)] = s
+        out.append(image)
     return out
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on an integer copy."""
-    m = _integer_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row_r = m[r]
-            row_p = m[rank]
-            for c in range(col + 1, ncols):
-                # Bareiss update: the division by the previous pivot is exact.
-                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
-            row_r[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _primitive(row: SparseRow) -> dict:
+    """The nonzero entries of a rational row, scaled to coprime integers."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+    g = math.gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
-def rref_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for k in range(r, nrows):
-            if m[k][c]:
-                piv = k
+def _eliminate(row: dict, pivot: dict, col) -> dict:
+    """Integer combination of `row` and `pivot` with `col` cleared, made primitive."""
+    a, b = pivot[col], row[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot.items():
+        out[c] = out.get(c, 0) - b * v
+    return _primitive(out)
+
+
+def _echelon(rows: Iterable[SparseRow]) -> dict:
+    """Fraction-free sparse echelon form: pivot column -> primitive integer
+    row whose leading (smallest) column it is."""
+    pivots: dict = {}
+    for row in rows:
+        r = _primitive(row)
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = r
                 break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for k in range(nrows):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+            r = _eliminate(r, pivot, lead)
+    return pivots
+
+
+def _rref(rows: Iterable[SparseRow]) -> dict:
+    """Reduced row-echelon form: pivot column -> row with a 1 there and zeros
+    in every other pivot column.  The RREF of a row space is unique."""
+    pivots = _echelon(rows)
+    out = {}
+    for lead in sorted(pivots, reverse=True):
+        r = pivots[lead]
+        # back-substitution: pivots to the right are already reduced
+        for c in [c for c in r if c != lead and c in pivots]:
+            r = _eliminate(r, pivots[c], c)
+        pivots[lead] = r
+        out[lead] = {c: Fraction(v, r[lead]) for c, v in r.items()}
+    return out
+
+
+def rank_of_rows(rows: list[SparseRow]) -> int:
+    """Rank of a list of sparse rows."""
+    return len(_echelon(rows))
 
 
 def nullspace_of_rows(
-    rows: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Echelonized kernel basis of the linear map given by `rows`.
+    rows: list[SparseRow], ncols: int
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Echelonized kernel basis of the linear map given by sparse rows over
+    columns 0..ncols-1.
 
-    Returns (basis vectors, free column indices); basis vector k has a 1 in
-    free column k and is supported otherwise only on pivot columns, which
-    makes the basis canonical.
+    Returns (sparse basis vectors, free column indices); basis vector k has a
+    1 in free column k and is supported otherwise only on pivot columns,
+    which makes the basis canonical.
     """
-    reduced, pivots = rref_rows(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [_ZERO] * ncols
-        vec[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            if reduced[r][fc]:
-                vec[pc] = -reduced[r][fc]
-        basis.append(vec)
+    reduced = _rref(rows)
+    free = [c for c in range(ncols) if c not in reduced]
+    basis = [
+        {fc: _ONE, **{pc: -row[fc] for pc, row in reduced.items() if fc in row}}
+        for fc in free
+    ]
     return basis, free
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse; raises ValueError on a singular matrix."""
     n = m.n
-    aug = []
-    dense = m.rows()
-    for i in range(n):
-        row = list(dense[i]) + [_ZERO] * n
-        row[n + i] = _ONE
-        aug.append(row)
-    reduced, pivots = rref_rows(aug)
-    if pivots[:n] != list(range(n)):
+    aug = [{n + i: _ONE} for i in range(n)]
+    for (i, j), v in m._e.items():
+        aug[i - 1][j - 1] = v
+    reduced = _rref(aug)
+    if any(c not in reduced for c in range(n)):
         raise ValueError("matrix is singular")
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            v = reduced[i][n + j]
-            if v:
-                entries[(i + 1, j + 1)] = v
-    return ExactMatrix(n, entries)
+    return ExactMatrix(
+        n,
+        {(i + 1, c - n + 1): v for i in range(n) for c, v in reduced[i].items() if c >= n},
+    )
 
 
 def jordan_type(m: ExactMatrix) -> tuple[int, ...]:

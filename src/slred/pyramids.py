@@ -19,6 +19,7 @@ from .lie import (
     ExactMatrix,
     GradingElement,
     Root,
+    ad_rows,
     jordan_type,
     rank_of_rows,
     root_decomposition,
@@ -239,18 +240,9 @@ def raising_operator(p: Pyramid) -> ExactMatrix:
     return ExactMatrix(p.n, entries)
 
 
-def _graded_basis(n: int, roots: Sequence[Root], with_cartan: bool) -> list[ExactMatrix]:
-    basis = [ExactMatrix.unit(n, r.i, r.j) for r in roots]
-    if with_cartan:
-        basis.extend(ExactMatrix.unit(n, k, k) for k in range(1, n + 1))
-    return basis
-
-
-def _image_rank(f: ExactMatrix, basis: Sequence[ExactMatrix]) -> int:
-    rows = []
-    for b in basis:
-        image = f * b - b * f
-        rows.append([image.entry(i, j) for i in range(1, f.n + 1) for j in range(1, f.n + 1)])
+def _image_rank(f: ExactMatrix, units: Sequence[tuple[int, int]]) -> int:
+    """Rank of ad(f) on the span of the given matrix units."""
+    rows = ad_rows(f, units)
     return rank_of_rows(rows) if rows else 0
 
 
@@ -274,14 +266,14 @@ def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
         roots = decomposition[grade]
         if grade > 0:
             # ker(ad f) trivial on g_d, d > 0
-            basis = _graded_basis(f.n, roots, with_cartan=False)
-            if _image_rank(f, basis) != len(basis):
+            if _image_rank(f, roots) != len(roots):
                 return False
         elif grade <= -1:
             # g_d, d < 0, inside the image of ad f from g_{d+1}
-            above = decomposition.get(grade + 1, [])
-            basis = _graded_basis(f.n, above, with_cartan=(grade == -1))
-            if _image_rank(f, basis) != len(roots):
+            units = list(decomposition.get(grade + 1, []))
+            if grade == -1:
+                units.extend((k, k) for k in range(1, f.n + 1))
+            if _image_rank(f, units) != len(roots):
                 return False
     return True
 

@@ -20,7 +20,7 @@ from .lie import ExactMatrix, Root, bracket, inverse, trace_form
 from .orbits import Partition  # noqa: F401  (re-exported type in signatures)
 from .pyramids import GoodPair, grading_element_of
 from .reduction import ReductionDatum
-from .star import BiGrading, bigrade, _kernel_on_basis
+from .star import BiGrading, bigrade, kernel_on_basis
 
 # ----------------------------------------------------------------------
 # polynomials in tagged commuting variables
@@ -502,7 +502,7 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpl
     basis01 = [ExactMatrix.unit(n, r.i, r.j) for r in roots01]
     basis10 = [ExactMatrix.unit(n, r.i, r.j) for r in roots10]
 
-    kernel, pivots = _kernel_on_basis(f1, basis01)
+    kernel, pivots = kernel_on_basis(f1, roots01)
     free = [k for k in range(len(basis01)) if k not in set(pivots)]
     complement = [basis01[p] for p in pivots]
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .lie import (
     ExactMatrix,
     GradingElement,
     Root,
+    ad_rows,
     all_roots,
     bracket,
     jordan_type,
@@ -41,6 +43,7 @@ __all__ = [
     "centralizer_piece",
     "compute_omega",
     "check_star",
+    "kernel_on_basis",
 ]
 
 
@@ -112,29 +115,20 @@ def bigrade(bi: BiGrading) -> dict[tuple[int, int], BiGradedPiece]:
     }
 
 
-def _kernel_on_basis(
-    f: ExactMatrix, basis: list[ExactMatrix]
+def kernel_on_basis(
+    f: ExactMatrix, roots: Sequence[Root]
 ) -> tuple[list[ExactMatrix], list[int]]:
-    """Echelonized kernel of ad(f) on a span, plus the pivot (complement) indices."""
-    if not basis:
-        return [], []
-    n = f.n
-    images = [bracket(f, b) for b in basis]
-    rows = [
-        [img.entry(i, j) for img in images]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    ]
-    vectors, free = nullspace_of_rows(rows, len(basis))
-    kernel = []
-    for vec in vectors:
-        acc = ExactMatrix.zero(n)
-        for coeff, b in zip(vec, basis):
-            if coeff:
-                acc = acc + b * coeff
-        kernel.append(acc)
-    pivots = [k for k in range(len(basis)) if k not in set(free)]
-    return kernel, pivots
+    """Echelonized kernel of ad(f) on the span of root vectors, plus the pivot
+    (complement) indices into `roots`."""
+    # ad(f) as a map on root coordinates: one sparse row per matrix position
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for k, image in enumerate(ad_rows(f, roots)):
+        for position, v in image.items():
+            rows.setdefault(position, {})[k] = v
+    vectors, free = nullspace_of_rows(list(rows.values()), len(roots))
+    kernel = [ExactMatrix(f.n, {roots[k]: v for k, v in vec.items()}) for vec in vectors]
+    free_set = set(free)
+    return kernel, [k for k in range(len(roots)) if k not in free_set]
 
 
 def centralizer_piece(piece: BiGradedPiece, f: ExactMatrix) -> list[ExactMatrix]:
@@ -143,7 +137,7 @@ def centralizer_piece(piece: BiGradedPiece, f: ExactMatrix) -> list[ExactMatrix]
     The basis is canonical: kernel vectors are echelonized against the
     lexicographically sorted root-vector coordinates of the cell.
     """
-    kernel, _pivots = _kernel_on_basis(f, piece.basis())
+    kernel, _pivots = kernel_on_basis(f, piece.roots)
     return kernel
 
 
@@ -158,7 +152,7 @@ def compute_omega(
     iff the matrix is square of full rank (vacuously for 0 x 0).
     """
     basis01 = piece01.basis()
-    _kernel, pivots = _kernel_on_basis(f1, basis01)
+    _kernel, pivots = kernel_on_basis(f1, piece01.roots)
     complement = [basis01[k] for k in pivots]
     rows = [
         [trace_form(f1, bracket(u, v)) for v in piece10.basis()]
@@ -166,7 +160,8 @@ def compute_omega(
     ]
     square = len(complement) == piece10.dim
     nondegenerate = square and (
-        len(complement) == 0 or rank_of_rows(rows) == len(complement)
+        len(complement) == 0
+        or rank_of_rows([dict(enumerate(row)) for row in rows]) == len(complement)
     )
     return rows, nondegenerate
 

@@ -1,0 +1,145 @@
+"""Dense reference elimination, kept as a test oracle for `slred.lie`.
+
+These are the dense routines the package used before its single sparse
+kernel: Bareiss elimination on an integer copy for ranks, and a dense
+`Fraction` RREF for kernels and inverses.  They are independent of the
+sparse code and are only ever compared against it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from slred.lie import ExactMatrix
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def dense_rows(m: ExactMatrix) -> list[list[Fraction]]:
+    """Dense row-major copy of a matrix."""
+    out = [[_ZERO] * m.n for _ in range(m.n)]
+    for (i, j), v in m.items():
+        out[i - 1][j - 1] = v
+    return out
+
+
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators (rank-preserving)."""
+    out = []
+    for row in rows:
+        scale = 1
+        for v in row:
+            if v:
+                scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        out.append([int(v * scale) for v in row])
+    return out
+
+
+def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination on an integer copy."""
+    m = _integer_rows(rows)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, nrows):
+            factor = m[r][col]
+            row_r = m[r]
+            row_p = m[rank]
+            for c in range(col + 1, ncols):
+                # Bareiss update: the division by the previous pivot is exact.
+                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev
+            row_r[col] = 0
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def rref_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over Fraction; returns (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for k in range(r, nrows):
+            if m[k][c]:
+                piv = k
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = _ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for k in range(nrows):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def nullspace_of_rows(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Echelonized kernel basis of the linear map given by `rows`.
+
+    Returns (basis vectors, free column indices); basis vector k has a 1 in
+    free column k and is supported otherwise only on pivot columns, which
+    makes the basis canonical.
+    """
+    reduced, pivots = rref_rows(rows) if rows else ([], [])
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [_ZERO] * ncols
+        vec[fc] = _ONE
+        for r, pc in enumerate(pivots):
+            if reduced[r][fc]:
+                vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis, free
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse; raises ValueError on a singular matrix."""
+    n = m.n
+    aug = []
+    dense = dense_rows(m)
+    for i in range(n):
+        row = list(dense[i]) + [_ZERO] * n
+        row[n + i] = _ONE
+        aug.append(row)
+    reduced, pivots = rref_rows(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            v = reduced[i][n + j]
+            if v:
+                entries[(i + 1, j + 1)] = v
+    return ExactMatrix(n, entries)

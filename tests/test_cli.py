@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
+import slred.cli
 from slred.cli import Report, emit, main, verify_all
 
 DATA = Path(__file__).parent / "data"
@@ -234,6 +238,37 @@ class TestVerifyAll:
         assert code == 2
         assert "between 1 and 12" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exit_two(self, capsys, workers):
+        code, _out, err = _run(capsys, "verify-all", "--max-n", "3", "--workers", workers)
+        assert code == 2
+        assert "must be positive" in err
+
+    def test_pool_is_capped_by_cpus_and_pairs(self, monkeypatch):
+        requested = []
+
+        class FakePool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(slred.cli, "Pool", FakePool)
+        monkeypatch.setattr(slred.cli.os, "cpu_count", lambda: 3)
+        serial = verify_all(4, workers=1)
+        assert requested == []
+        assert verify_all(4, workers=10**6).to_json() == serial.to_json()
+        assert requested == [3]
+        verify_all(2, workers=10**6)  # a single box-move pair runs serially
+        assert requested == [3]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -262,6 +297,15 @@ class TestExitCodes:
             main(["render", "2,1", "--json", "--ascii"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("adjacent", "1,0,1", "2"), ("render", "0"), ("reduce", "2,0", "2")]
+    )
+    def test_zero_parts_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "parts must be positive" in capsys.readouterr().err
+
     def test_domain_error_exits_two(self, capsys):
         code, _out, err = _run(capsys, "orbits", "0")
         assert code == 2
@@ -272,3 +316,17 @@ class TestExitCodes:
         assert code == 2
         validate(doc, _schema())
         assert doc["status"] == "error"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["orbits", "3"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slred", "orbits", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected

@@ -16,7 +16,6 @@ from slred.lie import (
     nullspace_of_rows,
     rank_of_rows,
     root_decomposition,
-    rref_rows,
     trace_form,
 )
 
@@ -77,7 +76,7 @@ def test_rank_with_fractional_entries():
 
 
 def test_rank_of_rows_zero_matrix():
-    assert rank_of_rows([[F(0)] * 3 for _ in range(3)]) == 0
+    assert rank_of_rows([dict.fromkeys(range(3), F(0)) for _ in range(3)]) == 0
 
 
 def test_inverse_roundtrip():
@@ -97,17 +96,18 @@ def test_inverse_singular_raises():
 
 def test_nullspace_echelonized():
     # x1 - x3 = 0, x2 - x4 = 0 on 4 coordinates
-    rows = [[F(1), F(0), F(-1), F(0)], [F(0), F(1), F(0), F(-1)]]
+    rows = [{0: F(1), 2: F(-1)}, {1: F(1), 3: F(-1)}]
     basis, free = nullspace_of_rows(rows, 4)
     assert free == [2, 3]
-    assert basis == [[F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1)]]
+    assert basis == [{0: F(1), 2: F(1)}, {1: F(1), 3: F(1)}]
 
 
 def test_rref_pivots():
-    rows = [[F(0), F(2), F(1)], [F(0), F(4), F(2)]]
-    reduced, pivots = rref_rows(rows)
-    assert pivots == [1]
-    assert reduced[0] == [F(0), F(1), F(1, 2)]
+    # the one reduced row is (0, 1, 1/2): pivot column 1, free columns 0 and 2
+    rows = [{1: F(2), 2: F(1)}, {1: F(4), 2: F(2)}]
+    basis, free = nullspace_of_rows(rows, 3)
+    assert free == [0, 2]
+    assert basis == [{0: F(1)}, {2: F(1), 1: F(-1, 2)}]
 
 
 # ----------------------------------------------------------------------

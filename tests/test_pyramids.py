@@ -296,7 +296,7 @@ def _kernel_dim_on(f, roots):
     rows = []
     for r in roots:
         image = bracket(f, ExactMatrix.unit(n, r.i, r.j))
-        rows.append([image.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)])
+        rows.append(dict(image.items()))
     return len(roots) - rank_of_rows(rows)
 
 
@@ -320,10 +320,10 @@ def _joint_kernel_dim(mats, roots):
     rows = []
     for r in roots:
         unit = ExactMatrix.unit(n, r.i, r.j)
-        row = []
-        for m in mats:
+        row = {}
+        for k, m in enumerate(mats):
             image = bracket(m, unit)
-            row.extend(image.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1))
+            row.update(((k, a, b), v) for (a, b), v in image.items())
         rows.append(row)
     return len(roots) - rank_of_rows(rows)
 

@@ -178,7 +178,7 @@ def test_omega_sl9_square_and_full_rank():
     rows, nondegenerate = compute_omega(f1, pieces[(0, 1)], pieces[(1, 0)])
     assert len(rows) == len(rows[0]) == 4
     assert nondegenerate
-    assert rank_of_rows(rows) == 4
+    assert rank_of_rows([dict(enumerate(row)) for row in rows]) == 4
 
 
 # ----------------------------------------------------------------------
