@@ -74,10 +74,8 @@ from .screening import (
     exp_nilpotent,
     fourier_compare,
     fourier_signs,
-    g0_conjugate,
     left_action_coeffs,
     left_action_of,
-    log_unipotent,
     right_action_of,
     screening_coeffs,
 )

@@ -1,10 +1,12 @@
 """Classical screening coefficients on unipotent charts.
 
 Everything here is exact polynomial algebra over the rationals: first-kind
-coordinates on unipotent groups, terminating exponential / logarithm series,
-the vector fields induced by one-parameter left or right translation, and the
+coordinates on unipotent groups, the terminating exponential series, the
+vector fields induced by one-parameter left or right translation, and the
 per-simple-root screening coefficients attached to a good pair or to a
-reduction datum.  A Fourier-type comparison transports the coefficients built
+reduction datum.  Translation vector fields come from the finite Bernoulli
+series (ad Z / (e^{ad Z} - 1))(w) on the Lie algebra, so no matrix logarithm
+is taken.  A Fourier-type comparison transports the coefficients built
 on the finer nilpotent (evaluating ghost directions against the step
 nilpotent and swapping the symplectically paired symbols) and checks that
 they land on the coarser side's coefficients up to sign.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Union
 
 from .lie import ExactMatrix, Root, bracket, inverse, trace_form
@@ -56,11 +59,19 @@ def var_name(var: Var) -> str:
     return f"{kind}_{idx}"
 
 
+def _item_key(item):
+    return _var_key(item[0])
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps = dict(m1)
     for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: _var_key(it[0])))
+        exps[var] = exps[var] + e if var in exps else e
+    return tuple(sorted(exps.items(), key=_item_key))
 
 
 def _mono_key(mono: Monomial):
@@ -80,13 +91,19 @@ class Poly:
                 self.terms[mono] = c
 
     @classmethod
+    def _of(cls, terms: dict) -> "Poly":
+        """Wrap coefficients that are already Fractions, dropping zeros."""
+        poly = object.__new__(cls)
+        poly.terms = {mono: c for mono, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def const(cls, value) -> "Poly":
-        c = Fraction(value)
-        return cls({(): c} if c else {})
+        return cls._of({(): Fraction(value)})
 
     @classmethod
     def variable(cls, kind: str, index) -> "Poly":
-        return cls({((_norm_var(kind, index), 1),): Fraction(1)})
+        return cls._of({((_norm_var(kind, index), 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -108,13 +125,13 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return Poly(terms)
+            terms[mono] = terms[mono] + c if mono in terms else c
+        return Poly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -133,8 +150,9 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
+                c = c1 * c2
+                terms[mono] = terms[mono] + c if mono in terms else c
+        return Poly._of(terms)
 
     __rmul__ = __mul__
 
@@ -147,25 +165,36 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        other = _as_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if self.is_constant():
+            return hash(self.terms.get((), Fraction(0)))
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping: dict) -> "Poly":
-        """Replace whole variables; values may be polynomials or scalars."""
+        """Replace whole variables; values may be polynomials or scalars.
+
+        Only the replaced variables are multiplied out; the kept ones ride
+        along as a plain monomial.
+        """
         table = {_norm_var(*var): _as_poly(value) for var, value in mapping.items()}
-        out = Poly()
+        terms: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
+            kept = tuple(item for item in mono if item[0] not in table)
             factor = Poly.const(c)
             for var, e in mono:
-                repl = table.get(var, Poly({((var, 1),): Fraction(1)}))
-                factor = factor * repl**e
-            out = out + factor
-        return out
+                if var in table:
+                    factor = factor * table[var] ** e
+            for m, d in factor.terms.items():
+                m = _mono_mul(m, kept)
+                terms[m] = terms[m] + d if m in terms else d
+        return Poly._of(terms)
 
     def derivative(self, var: Var) -> "Poly":
         var = _norm_var(*var)
@@ -179,9 +208,10 @@ class Poly:
                 del exps[var]
             else:
                 exps[var] = e - 1
-            new = tuple(sorted(exps.items(), key=lambda it: _var_key(it[0])))
-            terms[new] = terms.get(new, Fraction(0)) + c * e
-        return Poly(terms)
+            new = tuple(sorted(exps.items(), key=_item_key))
+            c = c * e
+            terms[new] = terms[new] + c if new in terms else c
+        return Poly._of(terms)
 
     def to_json(self) -> list:
         out = []
@@ -254,7 +284,7 @@ class PolyMatrix:
         self._check(other)
         acc = dict(self.entries)
         for pos, p in other.entries.items():
-            acc[pos] = acc.get(pos, Poly()) + p
+            acc[pos] = acc[pos] + p if pos in acc else p
         return PolyMatrix(self.n, acc)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -272,7 +302,8 @@ class PolyMatrix:
             acc: dict[tuple[int, int], Poly] = {}
             for (i, k), pa in self.entries.items():
                 for j, pb in rows_b.get(k, ()):
-                    acc[(i, j)] = acc.get((i, j), Poly()) + pa * pb
+                    p = pa * pb
+                    acc[i, j] = acc[i, j] + p if (i, j) in acc else p
             return PolyMatrix(self.n, acc)
         return self.scale(other)
 
@@ -328,19 +359,6 @@ def exp_nilpotent(m: PolyMatrix) -> PolyMatrix:
     raise ValueError("matrix is not nilpotent")
 
 
-def log_unipotent(u: PolyMatrix) -> PolyMatrix:
-    """Logarithm of a unipotent matrix by the finite alternating series."""
-    v = u - PolyMatrix.identity(u.n)
-    result = PolyMatrix(u.n)
-    power = PolyMatrix.identity(u.n)
-    for k in range(1, u.n + 1):
-        power = power * v
-        if power.is_zero():
-            return result
-        result = result + power.scale(Fraction((-1) ** (k + 1), k))
-    raise ValueError("matrix is not unipotent")
-
-
 # ----------------------------------------------------------------------
 # unipotent charts and translation vector fields
 # ----------------------------------------------------------------------
@@ -380,7 +398,27 @@ class UnipotentChart:
         return exp_nilpotent(self.coordinate_matrix())
 
     def generic_inverse(self) -> PolyMatrix:
-        return exp_nilpotent(-self.coordinate_matrix())
+        return _negate_coordinates(self.generic_element())
+
+
+def _negate_coordinates(m: PolyMatrix) -> PolyMatrix:
+    """m with every chart coordinate z replaced by -z.
+
+    Entries of Z^k are homogeneous of degree k in the z's, so exp(-Z) is
+    exp(Z) with every odd-degree monomial negated.
+    """
+    return PolyMatrix(
+        m.n,
+        {
+            pos: Poly._of(
+                {
+                    mono: -c if sum(e for _, e in mono) % 2 else c
+                    for mono, c in p.terms.items()
+                }
+            )
+            for pos, p in m.entries.items()
+        },
+    )
 
 
 def _check_on_chart(w: ExactMatrix, chart: UnipotentChart) -> None:
@@ -392,26 +430,27 @@ def _check_on_chart(w: ExactMatrix, chart: UnipotentChart) -> None:
             raise ValueError(f"element has support at ({i},{j}) outside the chart")
 
 
-def _log_directional(g: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """First-order part of log(g + t·b) at t = 0, for unipotent g."""
-    u = g - PolyMatrix.identity(g.n)
-    powers = [PolyMatrix.identity(g.n)]
-    while not (powers[-1] * u).is_zero():
-        powers.append(powers[-1] * u)
-    total = PolyMatrix(g.n)
-    bound = len(powers)
-    for k in range(1, 2 * bound):
-        coeff = Fraction((-1) ** (k + 1), k)
-        layer = PolyMatrix(g.n)
-        hit = False
-        for a in range(k):
-            if a >= bound or k - 1 - a >= bound:
-                continue
-            layer = layer + powers[a] * b * powers[k - 1 - a]
-            hit = True
-        if hit:
-            total = total + layer.scale(coeff)
-    return total
+def _bernoulli_series(z: PolyMatrix, w: ExactMatrix) -> PolyMatrix:
+    """(ad z / (e^{ad z} - 1))(w) = sum_n B_n/n! (ad z)^n(w), with B_1 = -1/2.
+
+    The series stops at the first zero bracket, which comes within 2N - 1
+    steps when z is nilpotent.  The Bernoulli numbers come from the
+    recurrence sum_{k<=m} C(m+1, k) B_k = 0, one per step.
+    """
+    term = PolyMatrix.from_exact(w)
+    total = term
+    bernoulli = [Fraction(1)]
+    factorial = 1
+    for n in range(1, 2 * z.n):
+        term = z * term - term * z
+        if term.is_zero():
+            return total
+        b = -sum(comb(n + 1, k) * bk for k, bk in enumerate(bernoulli)) / (n + 1)
+        bernoulli.append(b)
+        factorial *= n
+        if b:
+            total = total + term.scale(b / factorial)
+    raise ValueError("matrix is not nilpotent")
 
 
 def _read_chart_coefficients(
@@ -428,18 +467,25 @@ def _read_chart_coefficients(
 
 
 def left_action_of(w: ExactMatrix, chart: UnipotentChart) -> dict[Root, Poly]:
-    """Coefficients of the vector field of left translation by exp(t·w)."""
+    """Coefficients of the vector field of left translation by exp(t·w).
+
+    In first-kind coordinates g = e^Z, log(e^{tw}·e^Z) = Z + t·P + O(t^2)
+    with P = (ad Z / (e^{ad Z} - 1))(w), a finite series because ad Z is
+    nilpotent (Hall, Lie Groups, Lie Algebras, and Representations, 5.4).
+    """
     _check_on_chart(w, chart)
-    g = chart.generic_element()
-    eps = _log_directional(g, PolyMatrix.from_exact(w) * g)
+    eps = _bernoulli_series(chart.coordinate_matrix(), w)
     return _read_chart_coefficients(eps, chart, "left")
 
 
 def right_action_of(w: ExactMatrix, chart: UnipotentChart) -> dict[Root, Poly]:
-    """Coefficients of the vector field of right translation by exp(t·w)."""
+    """Coefficients of the vector field of right translation by exp(t·w).
+
+    log(e^Z·e^{tw}) = Z + t·(ad Z / (1 - e^{-ad Z}))(w) + O(t^2), and
+    x / (1 - e^{-x}) = (-x) / (e^{-x} - 1): the left series at -Z.
+    """
     _check_on_chart(w, chart)
-    g = chart.generic_element()
-    eps = _log_directional(g, g * PolyMatrix.from_exact(w))
+    eps = _bernoulli_series(-chart.coordinate_matrix(), w)
     return _read_chart_coefficients(eps, chart, "right")
 
 
@@ -448,20 +494,6 @@ def left_action_coeffs(i: int, chart: UnipotentChart) -> dict[Root, Poly]:
     if not (1 <= i < chart.n):
         raise ValueError(f"simple root index {i} out of range for sl_{chart.n}")
     return left_action_of(ExactMatrix.unit(chart.n, i, i + 1), chart)
-
-
-def conjugate_by_chart(w: ExactMatrix, chart: UnipotentChart) -> PolyMatrix:
-    """g^{-1}·w·g for the generic chart element g."""
-    if w.n != chart.n:
-        raise ValueError(f"size mismatch: {w.n} vs chart over sl_{chart.n}")
-    return chart.generic_inverse() * PolyMatrix.from_exact(w) * chart.generic_element()
-
-
-def g0_conjugate(i: int, chart0: UnipotentChart) -> PolyMatrix:
-    """The i-th simple root vector conjugated by the generic element of the chart."""
-    if not (1 <= i < chart0.n):
-        raise ValueError(f"simple root index {i} out of range for sl_{chart0.n}")
-    return conjugate_by_chart(ExactMatrix.unit(chart0.n, i, i + 1), chart0)
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +674,7 @@ def screening_coeffs(
     chart = UnipotentChart(n, _positive_roots(pieces.get((0, 0))))
     split = _omega_split(f1, f_circ, pieces)
     g = chart.generic_element()
-    ginv = chart.generic_inverse()
+    ginv = _negate_coordinates(g)
 
     cases: list[str] = []
     coeffs: list[Poly] = []

@@ -318,15 +318,33 @@ class TestExitCodes:
         assert doc["status"] == "error"
 
 
+def _source_env(**extra) -> dict:
+    """The environment for a `python -m slred` child that imports from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     assert main(["orbits", "3"]) == 0
     expected = capsys.readouterr().out
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "slred", "orbits", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_source_env(), timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("argv", [["screenings", "3,3", "4,2"], ["screenings", "2,2,1"]])
+def test_screenings_json_does_not_depend_on_the_hash_seed(argv):
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "slred", *argv, "--json"],
+            capture_output=True, env=_source_env(PYTHONHASHSEED=seed), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

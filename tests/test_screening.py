@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from screening_oracle import g0_conjugate, log_unipotent
 from slred.lie import ExactMatrix, Root, bracket, trace_form
 from slred.orbits import Partition, box_move_witness, partitions_of
 from slred.pyramids import build_pyramid, good_pair, left_aligned_offsets
@@ -18,10 +19,8 @@ from slred.screening import (
     exp_nilpotent,
     fourier_compare,
     fourier_signs,
-    g0_conjugate,
     left_action_coeffs,
     left_action_of,
-    log_unipotent,
     right_action_of,
     screening_coeffs,
     trace_pair,
@@ -70,6 +69,20 @@ class TestPoly:
         assert Poly.const(3) == 3
         assert Poly() == 0
         assert _z(1, 2) != 1
+
+    def test_constants_hash_like_their_scalars(self):
+        assert hash(Poly.const(3)) == hash(3)
+        assert hash(Poly()) == hash(0)
+        assert hash(Poly.const("2/3")) == hash(Fraction(2, 3))
+        assert len({Poly.const(3), 3}) == 1
+        assert len({Poly.const(3), Fraction(3), _z(1, 2)}) == 2
+
+    def test_comparison_with_other_types_is_unequal(self):
+        z = _z(1, 2)
+        assert (z == "x") is False
+        assert z != "x"
+        assert Poly.const(1) != "1"
+        assert Poly.const(1) != None  # noqa: E711
 
     def test_pow(self):
         z = _z(1, 2)
@@ -548,7 +561,8 @@ class TestFourierCompare:
         for case, sign in zip(source.cases, fourier_signs(source, target)):
             assert sign in (0, _EXPECTED_SIGN[case]), case
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    # The Fourier sweep through N <= 10: 229 box-move pairs in all.
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_every_box_move_matches(self, n):
         for lam, mu in _box_moves(n):
             datum = build_reduction(lam, mu)

@@ -1,0 +1,125 @@
+"""Differential tests: the Bernoulli-series translation vector fields, the
+reflected chart inverse and the lean `Poly.substitute` of `slred.screening`
+against the reference routines in `screening_oracle`."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import screening_oracle
+from slred.lie import ExactMatrix
+from slred.screening import (
+    Poly,
+    PolyMatrix,
+    UnipotentChart,
+    exp_nilpotent,
+    left_action_of,
+    right_action_of,
+)
+
+F = Fraction
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _closure(n, roots):
+    """The smallest bracket-closed set of positive roots containing `roots`."""
+    have = set(roots)
+    grown = True
+    while grown:
+        grown = False
+        for i, j in list(have):
+            for j2, k in list(have):
+                if j2 == j and (i, k) not in have:
+                    have.add((i, k))
+                    grown = True
+    return UnipotentChart(n, have)
+
+
+@st.composite
+def _charts(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    positive = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "empty":
+        return UnipotentChart(n, [])
+    if kind == "full":
+        return UnipotentChart(n, positive)
+    return _closure(n, draw(st.lists(st.sampled_from(positive), max_size=len(positive))))
+
+
+@st.composite
+def _charts_with_elements(draw):
+    chart = draw(_charts())
+    entries = {tuple(root): draw(_coeffs) for root in chart.roots}
+    return chart, ExactMatrix(chart.n, entries)
+
+
+@given(case=_charts_with_elements())
+@settings(max_examples=60, deadline=None)
+def test_left_action_matches_the_log_route(case):
+    chart, w = case
+    assert left_action_of(w, chart) == screening_oracle.left_action_of(w, chart)
+
+
+@given(case=_charts_with_elements())
+@settings(max_examples=60, deadline=None)
+def test_right_action_matches_the_log_route(case):
+    chart, w = case
+    assert right_action_of(w, chart) == screening_oracle.right_action_of(w, chart)
+
+
+def test_full_sl5_chart_matches_the_log_route_on_every_root_vector():
+    chart = UnipotentChart(5, [(i, j) for i in range(1, 5) for j in range(i + 1, 6)])
+    for i, j in chart.roots:
+        w = ExactMatrix.unit(5, i, j)
+        assert left_action_of(w, chart) == screening_oracle.left_action_of(w, chart)
+        assert right_action_of(w, chart) == screening_oracle.right_action_of(w, chart)
+
+
+@given(chart=_charts())
+@settings(max_examples=40, deadline=None)
+def test_generic_inverse_is_the_exponential_of_minus_z(chart):
+    g, ginv = chart.generic_element(), chart.generic_inverse()
+    assert ginv == exp_nilpotent(-chart.coordinate_matrix())
+    assert g * ginv == PolyMatrix.identity(chart.n)
+
+
+# Polynomials over a small pool of variables of every kind, so that
+# substitutions hit kept, replaced and repeated variables alike.
+_VARS = [
+    ("z", (1, 2)),
+    ("z", (2, 3)),
+    ("z", (1, 3)),
+    ("beta", 1),
+    ("beta", 2),
+    ("gamma", 1),
+    ("beta-hat", 1),
+    ("gamma-hat", 2),
+]
+
+
+@st.composite
+def _polys(draw, max_terms=4):
+    total = Poly()
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        term = Poly.const(draw(_coeffs))
+        for var in draw(st.lists(st.sampled_from(_VARS), max_size=3)):
+            term = term * Poly.variable(*var)
+        total = total + term
+    return total
+
+
+_values = st.one_of(_polys(max_terms=2), _coeffs, st.integers(min_value=-2, max_value=2))
+
+
+@given(
+    p=_polys(),
+    mapping=st.dictionaries(st.sampled_from(_VARS), _values, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_the_multiply_out_route(p, mapping):
+    image = p.substitute(mapping)
+    expected = screening_oracle.substitute(p, mapping)
+    assert image == expected
+    assert image.to_json() == expected.to_json()
