@@ -29,9 +29,10 @@ from .pyramids import align_for_theorem, build_pyramid, good_pair, left_aligned_
 from .reduction import adjacency_data, build_chain, build_reduction
 from .screening import fourier_signs, screening_coeffs
 
-#: verify-all refuses larger sweeps.  The full N = 12 sweep (518 box-move
-#: pairs) takes about 3 s serially on one core of a 2-vCPU x86-64 VM.
-MAX_VERIFY_N = 12
+#: verify-all refuses larger sweeps.  The full N <= 16 sweep (2159 box-move
+#: pairs, 618 of them at N = 16) takes about 10 s serially on one core of a
+#: 2-vCPU x86-64 VM.
+MAX_VERIFY_N = 16
 
 _EXIT_CODES = {"pass": 0, "fail": 1, "error": 2}
 

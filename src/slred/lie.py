@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -295,6 +295,55 @@ def ad_rows(f: ExactMatrix, units: Iterable[tuple[int, int]]) -> list[SparseRow]
     return out
 
 
+def _partial_permutation(
+    f: ExactMatrix,
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """The maps (pred, succ) with f = sum of E_{pred(b), b} = sum of E_{a, succ(a)},
+    when every entry of f is 1 and every row and column holds at most one
+    entry; None otherwise."""
+    pred: dict[int, int] = {}
+    succ: dict[int, int] = {}
+    for (a, b), v in f._e.items():
+        if v != 1 or a in succ or b in pred:
+            return None
+        pred[b] = a
+        succ[a] = b
+    return pred, succ
+
+
+def ad_rank(f: ExactMatrix, units: Iterable[tuple[int, int]]) -> int:
+    """Rank of ad(f) on the span of the given matrix units.
+
+    When f is a 0/1 partial permutation, [f, E_ij] = E_{pred(i), j} - E_{i, succ(j)}
+    with a missing term read as a ground vertex, so the images are the edges
+    of a graph and their rank is the number of unions that merge two
+    components.  Any other f goes through the elimination kernel.
+    """
+    perm = _partial_permutation(f)
+    if perm is None:
+        rows = ad_rows(f, units)
+        return rank_of_rows(rows) if rows else 0
+    pred, succ = perm
+    parent: dict = {}
+
+    def find(v):
+        root = v
+        while root in parent:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    rank = 0
+    for i, j in units:
+        u = find((pred[i], j) if i in pred else None)
+        w = find((i, succ[j]) if j in succ else None)
+        if u != w:
+            parent[u] = w
+            rank += 1
+    return rank
+
+
 def _primitive(row: SparseRow) -> dict:
     """The nonzero entries of a rational row, scaled to coprime integers."""
     scale = math.lcm(*(v.denominator for v in row.values()))
@@ -388,10 +437,24 @@ def jordan_type(m: ExactMatrix) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix, as a weakly decreasing partition.
 
     rank(m^{k-1}) - rank(m^k) counts the Jordan blocks of size >= k; the
-    partition is the conjugate of that count sequence.  Raises ValueError if
-    m is not nilpotent.
+    partition is the conjugate of that count sequence.  A 0/1 partial
+    permutation skips the ranks: its Jordan blocks are its chains.  Raises
+    ValueError if m is not nilpotent.
     """
     n = m.n
+    perm = _partial_permutation(m)
+    if perm is not None:
+        pred, succ = perm
+        chains = []
+        for start in range(1, n + 1):
+            if start not in pred:
+                length, k = 1, start
+                while k in succ:
+                    length, k = length + 1, succ[k]
+                chains.append(length)
+        if sum(chains) != n:  # the uncovered labels lie on a cycle
+            raise ValueError("matrix is not nilpotent")
+        return tuple(sorted(chains, reverse=True))
     ranks = [n]
     power = m
     while not power.is_zero():
@@ -416,23 +479,38 @@ class GradingElement:
     """A traceless rational diagonal matrix x, acting on roots by eigenvalue.
 
     The grading of the root eps_i - eps_j is diag[i] - diag[j]; "even" means
-    every root grading is an integer.
+    every root grading is an integer.  An even grading keeps the integers
+    levels[k] = diag[k] - diag[0], so root degrees are int differences;
+    levels is None otherwise.
     """
 
-    __slots__ = ("diag",)
+    __slots__ = ("diag", "levels")
 
     def __init__(self, diag: Sequence[RationalLike]):
         d = tuple(_rat(v) for v in diag)
-        if sum(d, _ZERO) != 0:
+        # over one common denominator q, entry k is nums[k] / q
+        q = math.lcm(*(v.denominator for v in d))
+        nums = [v.numerator * (q // v.denominator) for v in d]
+        if sum(nums) != 0:
             raise ValueError("grading element must be traceless")
         self.diag = d
+        steps = [a - nums[0] for a in nums]
+        self.levels = (
+            tuple(s // q for s in steps) if all(s % q == 0 for s in steps) else None
+        )
 
     @classmethod
     def from_xcoords(cls, xs: Sequence[RationalLike]) -> "GradingElement":
-        """Centre a coordinate vector: subtract the mean to reach sl_N."""
+        """Centre a coordinate vector: subtract the mean to reach sl_N.
+
+        Over one common denominator q, the centred entry k is
+        (n*a_k - sum a) / (n*q).
+        """
         vals = [_rat(v) for v in xs]
-        mean = sum(vals, _ZERO) / len(vals)
-        return cls([v - mean for v in vals])
+        n, q = len(vals), math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (q // v.denominator) for v in vals]
+        total = sum(nums)
+        return cls([Fraction(n * a - total, n * q) for a in nums])
 
     @classmethod
     def zero(cls, n: int) -> "GradingElement":
@@ -449,8 +527,12 @@ class GradingElement:
         return ExactMatrix.diagonal(self.diag)
 
     def is_even(self) -> bool:
-        base = self.diag[0]
-        return all((v - base).denominator == 1 for v in self.diag)
+        return self.levels is not None
+
+    def commutes_with(self, m: ExactMatrix) -> bool:
+        """[x, m] = 0, i.e. every entry of m links two labels of equal degree."""
+        d = self.diag
+        return all(d[i - 1] == d[j - 1] for (i, j), _v in m.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradingElement) and self.diag == other.diag
@@ -471,8 +553,15 @@ def grading_of_root(x: GradingElement, root: Root) -> Fraction:
 
 
 def root_decomposition(x: GradingElement) -> dict[Fraction, list[Root]]:
-    """Partition of all N(N-1) roots by their grading under x."""
-    out: dict[Fraction, list[Root]] = {}
-    for root in all_roots(x.n):
-        out.setdefault(x.of_root(root), []).append(root)
-    return {grade: sorted(roots) for grade, roots in sorted(out.items())}
+    """Partition of all N(N-1) roots by their grading under x.
+
+    Roots come in lexicographic order within each grade.  Levels differ from
+    the diagonal by a constant, so an even x is binned by int differences.
+    """
+    values = x.diag if x.levels is None else x.levels
+    out: dict = {}
+    for i, vi in enumerate(values, start=1):
+        for j, vj in enumerate(values, start=1):
+            if i != j:
+                out.setdefault(vi - vj, []).append(Root(i, j))
+    return {Fraction(grade): roots for grade, roots in sorted(out.items())}

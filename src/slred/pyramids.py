@@ -19,9 +19,8 @@ from .lie import (
     ExactMatrix,
     GradingElement,
     Root,
-    ad_rows,
+    ad_rank,
     jordan_type,
-    rank_of_rows,
     root_decomposition,
 )
 from .orbits import Partition
@@ -240,18 +239,13 @@ def raising_operator(p: Pyramid) -> ExactMatrix:
     return ExactMatrix(p.n, entries)
 
 
-def _image_rank(f: ExactMatrix, units: Sequence[tuple[int, int]]) -> int:
-    """Rank of ad(f) on the span of the given matrix units."""
-    rows = ad_rows(f, units)
-    return rank_of_rows(rows) if rows else 0
-
-
 def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
     """Exact check of the three good-grading axioms for an even grading.
 
     f must live in degree -1, ad(f) must be injective on every positive
     degree and surjective onto every negative one; all three are rank
-    computations on graded components.
+    computations on graded components, which `ad_rank` does by union-find
+    when f is a 0/1 partial permutation (every pyramid nilpotent is one).
     """
     if f.n != x.n:
         raise ValueError("size mismatch between f and x")
@@ -266,14 +260,14 @@ def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
         roots = decomposition[grade]
         if grade > 0:
             # ker(ad f) trivial on g_d, d > 0
-            if _image_rank(f, roots) != len(roots):
+            if ad_rank(f, roots) != len(roots):
                 return False
         elif grade <= -1:
             # g_d, d < 0, inside the image of ad f from g_{d+1}
             units = list(decomposition.get(grade + 1, []))
             if grade == -1:
                 units.extend((k, k) for k in range(1, f.n + 1))
-            if _image_rank(f, units) != len(roots):
+            if ad_rank(f, units) != len(roots):
                 return False
     return True
 

@@ -357,16 +357,28 @@ def _build_reduction(
 
     if pre.mu != mu:
         raise _fail("target tableau shape", f"{pre.mu} != {mu}")
-    if tuple(jordan_type(pre.f_mu_tilde)) != mu.parts:
-        raise _fail(
-            "jordan type of f_lam + f_circ",
-            f"{jordan_type(pre.f_mu_tilde)} != {mu}",
-        )
 
     bi = BiGrading(
         grading_element_of(pre.source), grading_element_of(pre.target)
     )
-    certificate = check_star(pre.f_lam, pre.f_mu_tilde, bi)
+    conjugator: Optional[ExactMatrix] = None
+    certified_by = "jordan_type"
+    witness = None
+    if verify_conjugation(pre.conjugator_candidate, pre.f_mu_tilde, pre.f_mu_std):
+        conjugator = pre.conjugator_candidate
+        certified_by = "conjugation"
+        # a conjugator inside G_0(x2) carries goodness as well as Jordan type
+        if bi.x2.commutes_with(conjugator):
+            witness = (conjugator, pre.f_mu_std)
+
+    f_mu = pre.f_mu_tilde if witness is None else pre.f_mu_std
+    if tuple(jordan_type(f_mu)) != mu.parts:
+        raise _fail(
+            "jordan type of f_lam + f_circ",
+            f"{jordan_type(f_mu)} != {mu}",
+        )
+
+    certificate = check_star(pre.f_lam, pre.f_mu_tilde, bi, witness=witness)
     if not certificate.passes:
         raise _fail("compatibility certificate", str(certificate.violations))
     if certificate.ghost_basis != pre.ghost_basis:
@@ -379,12 +391,6 @@ def _build_reduction(
     expected = (Fraction(b),) + (Fraction(0),) * (len(pre.ghost_basis) - 1)
     if character != expected:
         raise _fail("character", f"{character} != {expected}")
-
-    conjugator: Optional[ExactMatrix] = None
-    certified_by = "jordan_type"
-    if verify_conjugation(pre.conjugator_candidate, pre.f_mu_tilde, pre.f_mu_std):
-        conjugator = pre.conjugator_candidate
-        certified_by = "conjugation"
 
     return ReductionDatum(
         lam=lam,

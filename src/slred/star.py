@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .lie import (
     ExactMatrix,
@@ -27,13 +27,14 @@ from .lie import (
     Root,
     ad_rows,
     all_roots,
-    bracket,
     jordan_type,
     nullspace_of_rows,
     rank_of_rows,
     trace_form,
 )
 from .pyramids import is_good_grading
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "BiGrading",
@@ -56,9 +57,8 @@ class BiGrading:
         if x1.n != x2.n:
             raise ValueError("gradings live on different sl_N")
         for x in (x1, x2):
-            for k in range(1, x.n):
-                if x.of_root(Root(k, k + 1)).denominator != 1:
-                    raise ValueError(f"grading is not integral on root ({k},{k + 1})")
+            if not x.is_even():
+                raise ValueError(f"grading {x!r} is not integral on every root")
         self.x1 = x1
         self.x2 = x2
 
@@ -67,7 +67,9 @@ class BiGrading:
         return self.x1.n
 
     def degree_of(self, root: Root) -> tuple[int, int]:
-        return (int(self.x1.of_root(root)), int(self.x2.of_root(root)))
+        l1, l2 = self.x1.levels, self.x2.levels
+        i, j = root.i - 1, root.j - 1
+        return (l1[i] - l1[j], l2[i] - l2[j])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiGrading):
@@ -110,7 +112,7 @@ def bigrade(bi: BiGrading) -> dict[tuple[int, int], BiGradedPiece]:
     for root in all_roots(n):
         cells.setdefault(bi.degree_of(root), []).append(root)
     return {
-        degree: BiGradedPiece(n, degree, tuple(sorted(roots)), cartan=(degree == (0, 0)))
+        degree: BiGradedPiece(n, degree, tuple(roots), cartan=(degree == (0, 0)))
         for degree, roots in cells.items()
     }
 
@@ -148,15 +150,19 @@ def compute_omega(
 
     The complement of the ad(f1)-kernel inside cell (0,1) is spanned by the
     pivot coordinates of the echelonized kernel, which makes the matrix
-    deterministic.  Returns (dense matrix, nondegenerate?); the flag is true
-    iff the matrix is square of full rank (vacuously for 0 x 0).
+    deterministic.  On root vectors the pairing is the closed form
+    (f1, [E_ab, E_cd]) = [b = c] f1[d,a] - [d = a] f1[b,c].  Returns (dense
+    matrix, nondegenerate?); the flag is true iff the matrix is square of
+    full rank (vacuously for 0 x 0).
     """
-    basis01 = piece01.basis()
     _kernel, pivots = kernel_on_basis(f1, piece01.roots)
-    complement = [basis01[k] for k in pivots]
+    complement = [piece01.roots[k] for k in pivots]
     rows = [
-        [trace_form(f1, bracket(u, v)) for v in piece10.basis()]
-        for u in complement
+        [
+            (f1.entry(d, a) if b == c else _ZERO) - (f1.entry(b, c) if d == a else _ZERO)
+            for c, d in piece10.roots
+        ]
+        for a, b in complement
     ]
     square = len(complement) == piece10.dim
     nondegenerate = square and (
@@ -166,10 +172,11 @@ def compute_omega(
     return rows, nondegenerate
 
 
-def _is_abelian(basis: list[ExactMatrix]) -> bool:
-    return all(
-        bracket(u, v).is_zero() for k, u in enumerate(basis) for v in basis[k + 1 :]
-    )
+def _is_abelian(roots: Sequence[Root]) -> bool:
+    """Root vectors span an abelian subalgebra iff no root's column index is
+    another root's row index, since [E_ab, E_cd] = [b = c] E_ad - [d = a] E_cb."""
+    row_indices = {root.i for root in roots}
+    return not any(root.j in row_indices for root in roots)
 
 
 _ALLOWED_POSITIVE = ((0, 0), (0, 1), (1, 0))
@@ -195,7 +202,15 @@ class StarCertificate:
 
     @property
     def passes(self) -> bool:
-        return self.grading_ok and self.nilpotent_ok and self.omega_nondegenerate
+        return (
+            self.grading_ok
+            and self.nilpotent_ok
+            and self.omega_nondegenerate
+            and self.abelian_01
+            and self.abelian_10
+            and self.good_pair_1
+            and self.good_pair_2
+        )
 
     def to_json(self) -> dict:
         return {
@@ -218,18 +233,51 @@ class StarCertificate:
         }
 
 
-def check_star(f1: ExactMatrix, f2: ExactMatrix, bi: BiGrading) -> StarCertificate:
+def _witnessed_representative(
+    witness: tuple[ExactMatrix, ExactMatrix], f2: ExactMatrix, bi: BiGrading
+) -> ExactMatrix:
+    """Check a witness (g, f_std) and return f_std.
+
+    The witness must satisfy f2 g = g f_std with g nonsingular and of
+    x2-degree 0.  Then Ad(g) preserves the x2 grading and carries f_std to
+    f2, so the two share their Jordan type and their x2-goodness.
+    """
+    g, f_std = witness
+    if f2 * g != g * f_std:
+        raise ValueError("witness does not conjugate f_std to f2")
+    if not bi.x2.commutes_with(g):
+        raise ValueError("witness conjugator has nonzero x2-degree")
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in g.items():
+        rows.setdefault(i, {})[j - 1] = v
+    kernel, _free = nullspace_of_rows(list(rows.values()), g.n)
+    if kernel:
+        raise ValueError("witness conjugator is singular")
+    return f_std
+
+
+def check_star(
+    f1: ExactMatrix,
+    f2: ExactMatrix,
+    bi: BiGrading,
+    *,
+    witness: Optional[tuple[ExactMatrix, ExactMatrix]] = None,
+) -> StarCertificate:
     """Certify or refute compatibility of a pair of graded nilpotents.
 
-    Malformed input (size mismatch, a non-nilpotent matrix) raises; every
-    verdict about the two elements — including whether each one forms a
-    good pair with its grading — is reported in the certificate instead.
+    Malformed input (size mismatch, a non-nilpotent matrix, a bad witness)
+    raises; every verdict about the two elements — including whether each
+    one forms a good pair with its grading — is reported in the certificate
+    instead.  An optional witness (g, f_std) with f2 = g f_std g^-1 and g of
+    x2-degree 0 lets the Jordan type and the goodness of (f2, x2) be read
+    off f_std, typically a pyramid nilpotent; the certificate is the same.
     """
     n = bi.n
     if f1.n != n or f2.n != n:
         raise ValueError("nilpotents and gradings live on different sl_N")
+    f2_rep = f2 if witness is None else _witnessed_representative(witness, f2, bi)
     jordan_type(f1)
-    jordan_type(f2)
+    jordan_type(f2_rep)
 
     pieces = bigrade(bi)
     violations: dict[str, list[str]] = {}
@@ -273,11 +321,11 @@ def check_star(f1: ExactMatrix, f2: ExactMatrix, bi: BiGrading) -> StarCertifica
         n=n,
         grading_ok=not bad_roots,
         nilpotent_ok=not bad_entries,
-        abelian_01=_is_abelian(piece01.basis()),
-        abelian_10=_is_abelian(piece10.basis()),
+        abelian_01=_is_abelian(piece01.roots),
+        abelian_10=_is_abelian(piece10.roots),
         omega_nondegenerate=nondegenerate,
         good_pair_1=is_good_grading(f1, bi.x1),
-        good_pair_2=is_good_grading(f2, bi.x2),
+        good_pair_2=is_good_grading(f2_rep, bi.x2),
         ghost_basis=tuple(ghost_basis),
         omega_matrix=tuple(tuple(row) for row in omega),
         f_circ=f_circ,

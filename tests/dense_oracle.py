@@ -1,9 +1,10 @@
 """Dense reference elimination, kept as a test oracle for `slred.lie`.
 
 These are the dense routines the package used before its single sparse
-kernel: Bareiss elimination on an integer copy for ranks, and a dense
-`Fraction` RREF for kernels and inverses.  They are independent of the
-sparse code and are only ever compared against it.
+kernel: Bareiss elimination on an integer copy for ranks, a dense
+`Fraction` RREF for kernels and inverses, and the Jordan type from the
+ranks of powers.  They are independent of the sparse code and are only
+ever compared against it.
 """
 
 from __future__ import annotations
@@ -143,3 +144,27 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
             if v:
                 entries[(i + 1, j + 1)] = v
     return ExactMatrix(n, entries)
+
+
+def jordan_type(m: ExactMatrix) -> tuple[int, ...]:
+    """Jordan type of a nilpotent matrix from the dense ranks of its powers;
+    raises ValueError if m is not nilpotent."""
+    n = m.n
+    ranks = [n]
+    power = m
+    while not power.is_zero():
+        if len(ranks) > n:
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(rank_of_rows(dense_rows(power)))
+        power = power * m
+    # counts[k-1] = rank(m^{k-1}) - rank(m^k) = number of blocks of size >= k
+    counts = [
+        ranks[k - 1] - (ranks[k] if k < len(ranks) else 0)
+        for k in range(1, len(ranks) + 1)
+    ]
+    parts: list[int] = []
+    for k in range(1, len(counts) + 1):
+        exactly = counts[k - 1] - (counts[k] if k < len(counts) else 0)
+        parts.extend([k] * exactly)
+    parts.sort(reverse=True)
+    return tuple(parts)

@@ -11,7 +11,7 @@ import pytest
 from jsonschema import validate
 
 import slred.cli
-from slred.cli import Report, emit, main, verify_all
+from slred.cli import MAX_VERIFY_N, Report, emit, main, verify_all
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,9 +234,10 @@ class TestVerifyAll:
         assert serial.to_json() == parallel.to_json()
 
     def test_bound_is_enforced(self, capsys):
-        code, _out, err = _run(capsys, "verify-all", "--max-n", "13")
+        assert MAX_VERIFY_N == 16
+        code, _out, err = _run(capsys, "verify-all", "--max-n", "17")
         assert code == 2
-        assert "between 1 and 12" in err
+        assert "between 1 and 16" in err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_non_positive_workers_exit_two(self, capsys, workers):

@@ -316,8 +316,8 @@ def test_case_one_input_embeds_identically():
 # ----------------------------------------------------------------------
 
 
-def _box_move_pairs(max_n):
-    for n in range(2, max_n + 1):
+def _box_move_pairs(max_n, min_n=2):
+    for n in range(min_n, max_n + 1):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
@@ -342,6 +342,15 @@ def test_every_small_move_builds_verified(lam, mu):
     for one in datum.ghost_basis:
         for other in datum.ghost_basis:
             assert bracket(one, other).is_zero()
+
+
+def test_every_n13_move_builds_verified():
+    pairs = list(_box_move_pairs(13, min_n=13))
+    assert len(pairs) == 238
+    for lam, mu in pairs:
+        datum = build_reduction(lam, mu)
+        assert datum.certificate.passes, (lam, mu)
+        assert datum.membership_certified_by == "conjugation", (lam, mu)
 
 
 @settings(max_examples=40, deadline=None)

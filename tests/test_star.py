@@ -24,6 +24,7 @@ from slred.pyramids import (
     left_aligned_offsets,
     nilpotent_from_pyramid,
 )
+from slred.reduction import build_reduction
 from slred.star import (
     BiGradedPiece,
     BiGrading,
@@ -264,3 +265,62 @@ def test_certificate_json_is_deterministic():
     data = json.loads(blob1)
     assert data["pass"] is True
     assert data["ghost_basis"][0]["entries"]
+
+
+def test_passes_requires_good_pairs():
+    # grading, nilpotent and omega conditions hold, but E_21 has degree 0
+    # under the zero grading, so neither (E_21, 0) is a good pair
+    bi = BiGrading(GradingElement.zero(2), GradingElement.zero(2))
+    cert = check_star(E(2, 2, 1), E(2, 2, 1), bi)
+    assert cert.grading_ok and cert.nilpotent_ok and cert.omega_nondegenerate
+    assert cert.abelian_01 and cert.abelian_10
+    assert not cert.good_pair_1 and not cert.good_pair_2
+    assert not cert.passes
+    assert cert.to_json()["pass"] is False
+
+
+# ----------------------------------------------------------------------
+# check_star with a conjugator witness
+# ----------------------------------------------------------------------
+
+
+def _theorem_witness():
+    """The N = 9 theorem pair with its verified conjugator (g, f_std)."""
+    f1, f2, _fc, bi = _case_one_pair(3, 3, 1)
+    datum = build_reduction([3, 3, 3], [4, 3, 2])
+    assert (datum.f_lam, datum.f_mu_tilde) == (f1, f2)
+    return f1, f2, bi, datum.conjugator, datum.f_mu_std, datum.pyr_mu
+
+
+def test_witness_gives_the_same_certificate_on_the_theorem_pair():
+    f1, f2, bi, g, f_std, _target = _theorem_witness()
+    with_witness = check_star(f1, f2, bi, witness=(g, f_std))
+    assert with_witness == check_star(f1, f2, bi)
+    assert with_witness.passes
+
+
+def test_witness_across_two_x2_levels_is_rejected():
+    f1, f2, bi, g, f_std, _target = _theorem_witness()
+    # I + f_std commutes with f_std, so g (I + f_std) still conjugates f_std
+    # to f2 and is nonsingular, but f_std has x2-degree -1
+    g_bad = g * (ExactMatrix.identity(9) + f_std)
+    assert f2 * g_bad == g_bad * f_std
+    with pytest.raises(ValueError, match="x2-degree"):
+        check_star(f1, f2, bi, witness=(g_bad, f_std))
+
+
+def test_singular_witness_is_rejected():
+    f1, f2, bi, g, f_std, target = _theorem_witness()
+    # the projection onto one row of the target pyramid commutes with f_std
+    # and has x2-degree 0
+    row = ExactMatrix(9, {(k, k): F(1) for k in target.row_labels(1)})
+    for g_bad in (g * row, ExactMatrix.zero(9)):
+        assert f2 * g_bad == g_bad * f_std
+        with pytest.raises(ValueError, match="singular"):
+            check_star(f1, f2, bi, witness=(g_bad, f_std))
+
+
+def test_witness_that_does_not_conjugate_is_rejected():
+    f1, f2, bi, _g, f_std, _target = _theorem_witness()
+    with pytest.raises(ValueError, match="conjugate"):
+        check_star(f1, f2, bi, witness=(ExactMatrix.identity(9), f_std))
