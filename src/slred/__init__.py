@@ -14,7 +14,6 @@ from .lie import (
     Root,
     all_roots,
     bracket,
-    grading_of_root,
     jordan_type,
     root_decomposition,
     trace_form,
@@ -28,14 +27,12 @@ from .orbits import (
     is_adjacent,
     partitions_of,
     reduction_path,
-    satisfies_box_move,
     transpose,
 )
 from .pyramids import (
     GoodPair,
     Pyramid,
     align_for_theorem,
-    build_pyramid,
     good_pair,
     grading_element_of,
     is_good_grading,
@@ -50,7 +47,6 @@ from .star import (
     BiGrading,
     StarCertificate,
     bigrade,
-    centralizer_piece,
     check_star,
     compute_omega,
 )

@@ -23,9 +23,15 @@ from .orbits import (
     is_adjacent,
     partitions_of,
     reduction_path,
-    satisfies_box_move,
 )
-from .pyramids import align_for_theorem, build_pyramid, good_pair, left_aligned_offsets, render
+from .pyramids import (
+    Pyramid,
+    align_for_theorem,
+    good_pair,
+    left_aligned_offsets,
+    render,
+    render_tikz,
+)
 from .reduction import adjacency_data, build_chain, build_reduction
 from .screening import fourier_signs, screening_coeffs
 
@@ -77,14 +83,6 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"invalid partition {text!r}: {exc}")
 
 
-def _parts(p: Partition) -> list:
-    return list(p.parts)
-
-
-def _label(p: Partition) -> str:
-    return "[" + ",".join(str(k) for k in p.parts) + "]"
-
-
 # ----------------------------------------------------------------------
 # command handlers
 # ----------------------------------------------------------------------
@@ -99,15 +97,15 @@ def cmd_orbits(args) -> Report:
         "count": len(orbits),
         "orbits": [
             {
-                "partition": _parts(p),
-                "covered_by": sorted(_parts(c) for c in covers_of(p)),
+                "partition": p.to_json(),
+                "covered_by": sorted(c.to_json() for c in covers_of(p)),
             }
             for p in orbits
         ],
     }
     lines = tuple(
-        f"{_label(p)} covered by " + (
-            ", ".join(_label(c) for c in sorted(covers_of(p), key=lambda q: q.parts))
+        f"{p} covered by " + (
+            ", ".join(map(repr, sorted(covers_of(p), key=lambda q: q.parts)))
             or "nothing (maximal)"
         )
         for p in orbits
@@ -120,63 +118,41 @@ def cmd_adjacent(args) -> Report:
     witness = box_move_witness(lam, mu)
     adjacent = is_adjacent(lam, mu)
     payload = {
-        "lam": _parts(lam),
-        "mu": _parts(mu),
+        "lam": lam.to_json(),
+        "mu": mu.to_json(),
         "adjacent": adjacent,
-        "satisfies_box_move": satisfies_box_move(lam, mu),
+        "satisfies_box_move": witness is not None,
         "box_move": list(witness) if witness is not None else None,
     }
     if adjacent:
         i, j = witness
-        summary = f"{_label(lam)} -> {_label(mu)}: adjacent (box moves row {j} -> row {i})"
+        summary = f"{lam} -> {mu}: adjacent (box moves row {j} -> row {i})"
         return Report("pass", summary, payload)
     detail = "box move exists but is not a covering" if witness else "no box move"
-    return Report("fail", f"{_label(lam)} -> {_label(mu)}: not adjacent ({detail})", payload)
+    return Report("fail", f"{lam} -> {mu}: not adjacent ({detail})", payload)
 
 
 def cmd_path(args) -> Report:
     chain = reduction_path(args.lam, args.mu)
-    steps = [_parts(p) for p in chain.steps]
+    steps = chain.to_json()
     payload = {"steps": steps, "length": len(steps) - 1}
-    arrow = " -> ".join(_label(p) for p in chain.steps)
-    lines = (arrow,)
-    summary = f"{_label(args.lam)} reaches {_label(args.mu)} in {len(steps) - 1} step(s)"
+    lines = (" -> ".join(map(repr, chain.steps)),)
+    summary = f"{args.lam} reaches {args.mu} in {len(steps) - 1} step(s)"
     return Report("pass", summary, payload, lines)
 
 
-def _pair_renderings(lam: Partition, mu: Partition) -> dict:
-    adj = adjacency_data(lam, mu)
-    source = align_for_theorem(lam, adj.i, adj.j, "source")
-    target = align_for_theorem(lam, adj.i, adj.j, "target")
+def _pair_renderings(source: Pyramid, target: Pyramid) -> dict:
     ascii_text = "\n".join(
-        ["source " + _label(lam) + ":", render(source, "ascii"), "",
-         "target " + _label(mu) + ":", render(target, "ascii")]
+        [f"source {source.partition}:", render(source, "ascii"), "",
+         f"target {target.partition}:", render(target, "ascii")]
     )
-    return {"ascii": ascii_text, "tikz": _tikz_pair(source, target)}
-
-
-def _tikz_pair(source, target) -> str:
-    xs = [x for (x, _r) in source.labels]
-    shift = (max(xs) - min(x for (x, _r) in target.labels)) + 3
-    lines = [
-        r"\documentclass[tikz,border=2mm]{standalone}",
-        r"\begin{document}",
-        r"\begin{tikzpicture}[box/.style={draw,minimum size=6mm,inner sep=0pt}]",
-    ]
-    for offset, pyramid in ((0, source), (shift, target)):
-        for (x, r) in sorted(pyramid.labels, key=lambda b: (b[1], b[0])):
-            lines.append(
-                rf"  \node[box] at ({x + offset},{r - 1}) {{{pyramid.labels[(x, r)]}}};"
-            )
-    lines.append(r"\end{tikzpicture}")
-    lines.append(r"\end{document}")
-    return "\n".join(lines) + "\n"
+    return {"ascii": ascii_text, "tikz": render_tikz(source, target)}
 
 
 def cmd_reduce(args) -> Report:
     datum = build_reduction(args.lam, args.mu)
     summary = (
-        f"{_label(args.lam)} -> {_label(args.mu)}: certified "
+        f"{args.lam} -> {args.mu}: certified "
         f"({datum.membership_certified_by})"
     )
     return Report(
@@ -184,19 +160,19 @@ def cmd_reduce(args) -> Report:
         summary,
         datum.to_json(),
         lines=(datum.summary(),),
-        renderings=_pair_renderings(args.lam, args.mu),
+        renderings=_pair_renderings(datum.pyr_lam, datum.pyr_mu),
     )
 
 
 def cmd_chain(args) -> Report:
     data = build_chain(args.lam, args.mu)
     payload = {
-        "lam": _parts(args.lam),
-        "mu": _parts(args.mu),
+        "lam": args.lam.to_json(),
+        "mu": args.mu.to_json(),
         "steps": [
             {
-                "lam": _parts(d.lam),
-                "mu": _parts(d.mu),
+                "lam": d.lam.to_json(),
+                "mu": d.mu.to_json(),
                 "case": d.adjacency.case,
                 "membership_certified_by": d.membership_certified_by,
             }
@@ -204,7 +180,7 @@ def cmd_chain(args) -> Report:
         ],
     }
     lines = tuple(d.summary() for d in data)
-    summary = f"{_label(args.lam)} -> {_label(args.mu)}: {len(data)} certified step(s)"
+    summary = f"{args.lam} -> {args.mu}: {len(data)} certified step(s)"
     return Report("pass", summary, payload, lines)
 
 
@@ -213,7 +189,7 @@ def cmd_check_star(args) -> Report:
     cert = datum.certificate
     status = "pass" if cert.passes else "fail"
     verdict = "passes" if cert.passes else "fails"
-    summary = f"{_label(args.lam)} -> {_label(args.mu)}: compatibility certificate {verdict}"
+    summary = f"{args.lam} -> {args.mu}: compatibility certificate {verdict}"
     lines = tuple(f"{check}: {detail}" for check, detail in sorted(cert.violations.items()))
     return Report(status, summary, cert.to_json(), lines)
 
@@ -221,14 +197,14 @@ def cmd_check_star(args) -> Report:
 def cmd_screenings(args) -> Report:
     lam = args.lam
     if args.mu is None:
-        pair = good_pair(build_pyramid(lam, left_aligned_offsets(lam)))
+        pair = good_pair(Pyramid(lam, left_aligned_offsets(lam)))
         sset = screening_coeffs(pair)
         payload = {"mode": "good-pair", "set": sset.to_json()}
         lines = tuple(
             f"i={i} {case}: {poly!r}"
             for i, (case, poly) in enumerate(zip(sset.cases, sset.coefficients), start=1)
         )
-        summary = f"{_label(lam)}: {len(sset.cases)} screening coefficient(s)"
+        summary = f"{lam}: {len(sset.cases)} screening coefficient(s)"
         return Report("pass", summary, payload, lines)
 
     datum = build_reduction(lam, args.mu)
@@ -250,18 +226,22 @@ def cmd_screenings(args) -> Report:
         )
     )
     verdict = "matches up to sign" if matched else "MISMATCH"
-    summary = f"{_label(lam)} -> {_label(args.mu)}: Fourier comparison {verdict}"
+    summary = f"{lam} -> {args.mu}: Fourier comparison {verdict}"
     return Report("pass" if matched else "fail", summary, payload, lines)
 
 
 def cmd_render(args) -> Report:
     if args.mu is None:
-        pyramid = build_pyramid(args.lam, left_aligned_offsets(args.lam))
+        pyramid = Pyramid(args.lam, left_aligned_offsets(args.lam))
         renderings = {"ascii": render(pyramid, "ascii"), "tikz": render(pyramid, "tikz")}
-        summary = f"pyramid of {_label(args.lam)}"
+        summary = f"pyramid of {args.lam}"
     else:
-        renderings = _pair_renderings(args.lam, args.mu)
-        summary = f"aligned pyramid pair {_label(args.lam)} -> {_label(args.mu)}"
+        adj = adjacency_data(args.lam, args.mu)
+        renderings = _pair_renderings(
+            align_for_theorem(args.lam, adj.i, adj.j, "source"),
+            align_for_theorem(args.lam, adj.i, adj.j, "target"),
+        )
+        summary = f"aligned pyramid pair {args.lam} -> {args.mu}"
     payload = {"ascii": renderings["ascii"], "tikz": renderings["tikz"]}
     return Report("pass", summary, payload, (renderings["ascii"],), renderings)
 

@@ -39,9 +39,6 @@ class Root(NamedTuple):
     def is_positive(self) -> bool:
         return self.i < self.j
 
-    def negated(self) -> "Root":
-        return Root(self.j, self.i)
-
     def __str__(self) -> str:  # used in polynomial variable names
         return f"({self.i},{self.j})"
 
@@ -49,10 +46,6 @@ class Root(NamedTuple):
 def all_roots(n: int) -> list[Root]:
     """All N(N-1) roots of sl_N in lexicographic (i, j) order."""
     return [Root(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
-def simple_roots(n: int) -> list[Root]:
-    return [Root(i, i + 1) for i in range(1, n)]
 
 
 class ExactMatrix:
@@ -545,11 +538,6 @@ class GradingElement:
 
     def to_json(self) -> list[str]:
         return [str(v) for v in self.diag]
-
-
-def grading_of_root(x: GradingElement, root: Root) -> Fraction:
-    """The ad(x)-eigenvalue on E_{i,j}."""
-    return x.of_root(root)
 
 
 def root_decomposition(x: GradingElement) -> dict[Fraction, list[Root]]:

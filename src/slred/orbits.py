@@ -155,11 +155,6 @@ def box_move_witness(lam, mu) -> Optional[tuple[int, int]]:
     return i, j
 
 
-def satisfies_box_move(lam, mu) -> bool:
-    """The one-box relation alone, without the no-intermediate-orbit clause."""
-    return box_move_witness(lam, mu) is not None
-
-
 def is_adjacent(lam, mu) -> bool:
     """True iff mu covers lam in dominance order.
 

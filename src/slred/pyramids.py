@@ -86,9 +86,6 @@ class Pyramid:
     def label_of(self, x: int, row: int) -> int:
         return self.labels[(x, row)]
 
-    def box_of(self, label: int) -> Box:
-        return self._by_label[label]
-
     def xcoords(self) -> list[int]:
         """x-coordinate of each box, indexed by label (position k = label k+1)."""
         return [self._by_label[k][0] for k in range(1, self.n + 1)]
@@ -126,11 +123,6 @@ class Pyramid:
                 for (x, r) in sorted(self._boxes(), key=lambda b: (b[1], b[0]))
             ],
         }
-
-
-def build_pyramid(lam, offsets: Sequence[int]) -> Pyramid:
-    """Pyramid with the canonical labelling at the given right-end offsets."""
-    return Pyramid(lam, offsets)
 
 
 def left_aligned_offsets(lam) -> tuple[int, ...]:
@@ -308,7 +300,7 @@ def render(p: Pyramid, fmt: str = "ascii") -> str:
     if fmt == "ascii":
         return _render_ascii(p)
     if fmt == "tikz":
-        return _render_tikz(p)
+        return render_tikz(p)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -329,14 +321,27 @@ def _render_ascii(p: Pyramid) -> str:
     return "\n".join(lines)
 
 
-def _render_tikz(p: Pyramid) -> str:
+def render_tikz(*pyramids: Pyramid) -> str:
+    """Standalone TikZ source placing the pyramids left to right.
+
+    Each pyramid's leftmost box sits three columns past the previous one's
+    rightmost box; the first keeps its own x-coordinates.
+    """
     lines = [
         r"\documentclass[tikz,border=2mm]{standalone}",
         r"\begin{document}",
         r"\begin{tikzpicture}[box/.style={draw,minimum size=6mm,inner sep=0pt}]",
     ]
-    for (x, r) in sorted(p._boxes(), key=lambda b: (b[1], b[0])):
-        lines.append(rf"  \node[box] at ({x},{r - 1}) {{{p.labels[(x, r)]}}};")
+    offset = right = 0
+    for k, p in enumerate(pyramids):
+        xs = [x for (x, _r) in p.labels]
+        if k:
+            offset = right + 3 - min(xs)
+        for (x, r) in sorted(p.labels, key=lambda b: (b[1], b[0])):
+            lines.append(
+                rf"  \node[box] at ({x + offset},{r - 1}) {{{p.labels[(x, r)]}}};"
+            )
+        right = offset + max(xs)
     lines.append(r"\end{tikzpicture}")
     lines.append(r"\end{document}")
     return "\n".join(lines) + "\n"

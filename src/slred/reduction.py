@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import ClassVar, NamedTuple, Sequence, Union
 
 from .lie import ExactMatrix, RationalLike, inverse, jordan_type, trace_form
 from .orbits import Partition, box_move_witness, dominance_leq, reduction_path
@@ -297,22 +297,20 @@ class ReductionDatum:
     f_mu_tilde: ExactMatrix
     ghost_basis: tuple[ExactMatrix, ...]
     character: tuple[Fraction, ...]
-    conjugator: Optional[ExactMatrix]
+    conjugator: ExactMatrix
     certificate: StarCertificate
     embedding_window: tuple[int, ...]
-    membership_certified_by: str  # "conjugation" or "jordan_type"
+    # Every datum is certified by its conjugator; the constant stays
+    # because every payload carries the key.
+    membership_certified_by: ClassVar[str] = "conjugation"
 
     def summary(self) -> str:
         lam, mu, ad = self.lam, self.mu, self.adjacency
         character = "(" + ", ".join(str(c) for c in self.character) + ")"
-        tail = (
-            "conjugator verified"
-            if self.membership_certified_by == "conjugation"
-            else "orbit membership certified by Jordan type"
-        )
         return (
             f"{lam} -> {mu}: case {ad.case}, window rows {ad.i}..{ad.j}, "
-            f"{len(self.ghost_basis)} ghost(s), character {character}, {tail}"
+            f"{len(self.ghost_basis)} ghost(s), character {character}, "
+            "conjugator verified"
         )
 
     def to_json(self) -> dict:
@@ -332,9 +330,7 @@ class ReductionDatum:
             "f_mu_tilde": self.f_mu_tilde.to_json(),
             "ghost_basis": [m.to_json() for m in self.ghost_basis],
             "character": [str(c) for c in self.character],
-            "conjugator": (
-                self.conjugator.to_json() if self.conjugator is not None else None
-            ),
+            "conjugator": self.conjugator.to_json(),
             "membership_certified_by": self.membership_certified_by,
             "certificate": self.certificate.to_json(),
             "summary": self.summary(),
@@ -361,24 +357,23 @@ def _build_reduction(
     bi = BiGrading(
         grading_element_of(pre.source), grading_element_of(pre.target)
     )
-    conjugator: Optional[ExactMatrix] = None
-    certified_by = "jordan_type"
-    witness = None
-    if verify_conjugation(pre.conjugator_candidate, pre.f_mu_tilde, pre.f_mu_std):
-        conjugator = pre.conjugator_candidate
-        certified_by = "conjugation"
-        # a conjugator inside G_0(x2) carries goodness as well as Jordan type
-        if bi.x2.commutes_with(conjugator):
-            witness = (conjugator, pre.f_mu_std)
-
-    f_mu = pre.f_mu_tilde if witness is None else pre.f_mu_std
-    if tuple(jordan_type(f_mu)) != mu.parts:
+    conjugator = pre.conjugator_candidate
+    if not verify_conjugation(conjugator, pre.f_mu_tilde, pre.f_mu_std):
+        raise _fail(
+            "conjugation", "the candidate does not carry f_mu_std to f_lam + f_circ"
+        )
+    # a conjugator inside G_0(x2) carries goodness as well as Jordan type
+    if not bi.x2.commutes_with(conjugator):
+        raise _fail("conjugator degree", "the verified conjugator leaves G_0(x2)")
+    if tuple(jordan_type(pre.f_mu_std)) != mu.parts:
         raise _fail(
             "jordan type of f_lam + f_circ",
-            f"{jordan_type(f_mu)} != {mu}",
+            f"{jordan_type(pre.f_mu_std)} != {mu}",
         )
 
-    certificate = check_star(pre.f_lam, pre.f_mu_tilde, bi, witness=witness)
+    certificate = check_star(
+        pre.f_lam, pre.f_mu_tilde, bi, witness=(conjugator, pre.f_mu_std)
+    )
     if not certificate.passes:
         raise _fail("compatibility certificate", str(certificate.violations))
     if certificate.ghost_basis != pre.ghost_basis:
@@ -407,7 +402,6 @@ def _build_reduction(
         conjugator=conjugator,
         certificate=certificate,
         embedding_window=pre.window,
-        membership_certified_by=certified_by,
     )
 
 

@@ -20,10 +20,9 @@ from math import comb
 from typing import Iterable, Optional, Union
 
 from .lie import ExactMatrix, Root, bracket, inverse, trace_form
-from .orbits import Partition  # noqa: F401  (re-exported type in signatures)
 from .pyramids import GoodPair, grading_element_of
 from .reduction import ReductionDatum
-from .star import BiGrading, bigrade, kernel_on_basis
+from .star import BiGrading, bigrade, kernel_on_basis, omega_rows
 
 # ----------------------------------------------------------------------
 # polynomials in tagged commuting variables
@@ -555,13 +554,12 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpl
 
     v_basis: list[ExactMatrix] = []
     if n_pairs:
+        # Kernel vectors pair to zero, (f1, [k, v]) = ([f1, k], v) = 0, so
+        # the anchor correction leaves the pivot roots' closed form intact.
+        rows = omega_rows(f1, [roots01[p] for p in pivots], roots10)
         omega = ExactMatrix(
             n_pairs,
-            {
-                (p + 1, q + 1): trace_form(f1, bracket(complement[p], basis10[q]))
-                for p in range(n_pairs)
-                for q in range(n_pairs)
-            },
+            {(p, q): v for p, row in enumerate(rows, 1) for q, v in enumerate(row, 1)},
         )
         x = inverse(omega)
         for j in range(n_pairs):
@@ -624,9 +622,6 @@ class ScreeningSet:
     coefficients: tuple[Poly, ...]
     chart_roots: tuple[Root, ...]
     split: OmegaSplit
-
-    def case_of(self, i: int) -> str:
-        return self.cases[i - 1]
 
     def coefficient(self, i: int) -> Poly:
         return self.coefficients[i - 1]
@@ -733,30 +728,24 @@ def screening_coeffs(
 # ----------------------------------------------------------------------
 
 
-def fourier_signs(
-    source: ScreeningSet,
-    target: ScreeningSet,
-    pairing: Optional[OmegaSplit] = None,
-) -> tuple:
+def fourier_signs(source: ScreeningSet, target: ScreeningSet) -> tuple:
     """Per-simple-root sign matching the transported source against the target.
 
     Each entry is +1 or -1 when the transported coefficient equals the
     target one up to that sign, 0 when both vanish, and None on a genuine
     mismatch.
     """
-    if pairing is None:
-        pairing = source.split
     if source.side != "source" or target.side != "target":
         raise ValueError("expected a source set and a target set, in that order")
     if (
         source.n != target.n
         or source.chart_roots != target.chart_roots
         or source.cases != target.cases
-        or pairing != source.split
-        or pairing != target.split
+        or source.split != target.split
     ):
         raise ValueError("screening sets were built over incompatible charts")
 
+    pairing = source.split
     substitution: dict[Var, Poly] = {}
     for j in range(1, pairing.pairs + 1):
         substitution[("beta", j)] = -Poly.variable("gamma-hat", j)
@@ -778,10 +767,6 @@ def fourier_signs(
     return tuple(signs)
 
 
-def fourier_compare(
-    source: ScreeningSet,
-    target: ScreeningSet,
-    pairing: Optional[OmegaSplit] = None,
-) -> bool:
+def fourier_compare(source: ScreeningSet, target: ScreeningSet) -> bool:
     """Does the transported source coefficient match the target one up to sign?"""
-    return all(s is not None for s in fourier_signs(source, target, pairing))
+    return all(s is not None for s in fourier_signs(source, target))

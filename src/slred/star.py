@@ -41,10 +41,10 @@ __all__ = [
     "BiGradedPiece",
     "StarCertificate",
     "bigrade",
-    "centralizer_piece",
     "compute_omega",
     "check_star",
     "kernel_on_basis",
+    "omega_rows",
 ]
 
 
@@ -133,37 +133,34 @@ def kernel_on_basis(
     return kernel, [k for k in range(len(roots)) if k not in free_set]
 
 
-def centralizer_piece(piece: BiGradedPiece, f: ExactMatrix) -> list[ExactMatrix]:
-    """Exact kernel basis of ad(f) on the span of one bigraded cell.
+def omega_rows(
+    f1: ExactMatrix, roots01: Sequence[Root], roots10: Sequence[Root]
+) -> list[list[Fraction]]:
+    """The pairing (u, v) -> (f1, [u, v]) on root vectors, one row per u.
 
-    The basis is canonical: kernel vectors are echelonized against the
-    lexicographically sorted root-vector coordinates of the cell.
+    On root vectors it is the closed form
+    (f1, [E_ab, E_cd]) = [b = c] f1[d,a] - [d = a] f1[b,c].
     """
-    kernel, _pivots = kernel_on_basis(f, piece.roots)
-    return kernel
+    return [
+        [
+            (f1.entry(d, a) if b == c else _ZERO) - (f1.entry(b, c) if d == a else _ZERO)
+            for c, d in roots10
+        ]
+        for a, b in roots01
+    ]
 
 
 def compute_omega(
-    f1: ExactMatrix, piece01: BiGradedPiece, piece10: BiGradedPiece
+    f1: ExactMatrix, complement: Sequence[Root], piece10: BiGradedPiece
 ) -> tuple[list[list[Fraction]], bool]:
     """Pairing (u, v) -> (f1, [u, v]) on complement-of-kernel x cell (1,0).
 
-    The complement of the ad(f1)-kernel inside cell (0,1) is spanned by the
-    pivot coordinates of the echelonized kernel, which makes the matrix
-    deterministic.  On root vectors the pairing is the closed form
-    (f1, [E_ab, E_cd]) = [b = c] f1[d,a] - [d = a] f1[b,c].  Returns (dense
-    matrix, nondegenerate?); the flag is true iff the matrix is square of
-    full rank (vacuously for 0 x 0).
+    `complement` lists the pivot roots of the echelonized ad(f1)-kernel
+    inside cell (0,1) (see kernel_on_basis), which makes the matrix
+    deterministic.  Returns (dense matrix, nondegenerate?); the flag is
+    true iff the matrix is square of full rank (vacuously for 0 x 0).
     """
-    _kernel, pivots = kernel_on_basis(f1, piece01.roots)
-    complement = [piece01.roots[k] for k in pivots]
-    rows = [
-        [
-            (f1.entry(d, a) if b == c else _ZERO) - (f1.entry(b, c) if d == a else _ZERO)
-            for c, d in piece10.roots
-        ]
-        for a, b in complement
-    ]
+    rows = omega_rows(f1, complement, piece10.roots)
     square = len(complement) == piece10.dim
     nondegenerate = square and (
         len(complement) == 0
@@ -309,8 +306,9 @@ def check_star(
 
     piece01 = pieces.get((0, 1), _empty_piece(n, (0, 1)))
     piece10 = pieces.get((1, 0), _empty_piece(n, (1, 0)))
-    ghost_basis = centralizer_piece(piece01, f1)
-    omega, nondegenerate = compute_omega(f1, piece01, piece10)
+    ghost_basis, pivots = kernel_on_basis(f1, piece01.roots)
+    complement = [piece01.roots[k] for k in pivots]
+    omega, nondegenerate = compute_omega(f1, complement, piece10)
     if not nondegenerate:
         violations["omega"] = [
             f"pairing is {len(omega)} x {piece10.dim}"

@@ -6,23 +6,27 @@ w·g or g·w, and to substitute into a polynomial by multiplying out every
 variable of every monomial.  Those routines, and the logarithm and chart
 conjugations that only tests ever called, live on here unchanged.  They are
 independent of the Bernoulli-series route and are only ever compared
-against it.
+against it.  So does the omega split that built its pairing matrix from
+trace_form(f1, bracket(u, v)) instead of the closed form of `slred.star`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from slred.lie import ExactMatrix, Root
+from slred.lie import ExactMatrix, Root, bracket, inverse, trace_form
 from slred.screening import (
+    OmegaSplit,
     Poly,
     PolyMatrix,
     UnipotentChart,
     _as_poly,
     _check_on_chart,
     _norm_var,
+    _positive_roots,
     _read_chart_coefficients,
 )
+from slred.star import kernel_on_basis
 
 
 def log_unipotent(u: PolyMatrix) -> PolyMatrix:
@@ -101,3 +105,84 @@ def substitute(self: Poly, mapping: dict) -> Poly:
             factor = factor * repl**e
         out = out + factor
     return out
+
+
+def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSplit:
+    """The omega split with omega built as trace_form(f1, bracket(u, v))."""
+    n = f1.n
+    roots01 = _positive_roots(pieces.get((0, 1)))
+    roots10 = _positive_roots(pieces.get((1, 0)))
+    basis01 = [ExactMatrix.unit(n, r.i, r.j) for r in roots01]
+    basis10 = [ExactMatrix.unit(n, r.i, r.j) for r in roots10]
+
+    kernel, pivots = kernel_on_basis(f1, roots01)
+    free = [k for k in range(len(basis01)) if k not in set(pivots)]
+    complement = [basis01[p] for p in pivots]
+
+    consts = [trace_form(f_circ, g) for g in kernel]
+    anchor = next((l for l, c in enumerate(consts) if c), None)
+    if anchor is not None:
+        for idx, u in enumerate(complement):
+            c = trace_form(f_circ, u)
+            if c:
+                complement[idx] = u - kernel[anchor] * (c / consts[anchor])
+
+    n_pairs = len(complement)
+    if len(basis10) != n_pairs:
+        raise ValueError(
+            f"pairing block is not square: {n_pairs} complement vectors "
+            f"against {len(basis10)} vectors in the (1,0) cell"
+        )
+
+    v_basis: list[ExactMatrix] = []
+    if n_pairs:
+        omega = ExactMatrix(
+            n_pairs,
+            {
+                (p + 1, q + 1): trace_form(f1, bracket(complement[p], basis10[q]))
+                for p in range(n_pairs)
+                for q in range(n_pairs)
+            },
+        )
+        x = inverse(omega)
+        for j in range(n_pairs):
+            v = ExactMatrix.zero(f1.n)
+            for q in range(n_pairs):
+                c = x.entry(q + 1, j + 1)
+                if c:
+                    v = v + basis10[q] * c
+            v_basis.append(v)
+
+    total = n_pairs + len(kernel)
+    u_basis = complement + kernel
+    u_duals: list[ExactMatrix] = []
+    if total:
+        cols = list(pivots) + free
+        coeffs = ExactMatrix(
+            total,
+            {
+                (r + 1, c + 1): dict(u_basis[r].items()).get(tuple(roots01[cols[c]]), 0)
+                for r in range(total)
+                for c in range(total)
+            },
+        )
+        dual_rows = inverse(coeffs.transpose())
+        for j in range(total):
+            d = ExactMatrix.zero(f1.n)
+            for c in range(total):
+                value = dual_rows.entry(j + 1, c + 1)
+                if value:
+                    p, q = roots01[cols[c]]
+                    d = d + ExactMatrix.unit(f1.n, q, p) * value
+            u_duals.append(d)
+
+    v_duals = [bracket(f1, u) for u in complement]
+    return OmegaSplit(
+        pairs=n_pairs,
+        total=total,
+        u_basis=tuple(u_basis),
+        u_duals=tuple(u_duals),
+        v_basis=tuple(v_basis),
+        v_duals=tuple(v_duals),
+        ghost_constants=tuple(consts),
+    )

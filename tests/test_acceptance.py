@@ -19,11 +19,10 @@ from slred.orbits import (
     is_adjacent,
     partitions_of,
     reduction_path,
-    satisfies_box_move,
 )
 from slred.pyramids import (
+    Pyramid,
     align_for_theorem,
-    build_pyramid,
     grading_element_of,
     is_good_grading,
     left_aligned_offsets,
@@ -91,7 +90,7 @@ def test_criterion_02_reference_neighborhood(capsys):
     step1 = is_adjacent((5, 3, 3, 3), (5, 4, 3, 2))
     step2 = is_adjacent((5, 4, 3, 2), (6, 3, 3, 2))
     skip = is_adjacent((5, 3, 3, 3), (6, 3, 3, 2))
-    skip_box = satisfies_box_move((5, 3, 3, 3), (6, 3, 3, 2))
+    skip_box = box_move_witness((5, 3, 3, 3), (6, 3, 3, 2)) is not None
     ok = step1 and step2 and not skip and skip_box
     _emit(
         capsys, 2, ok,
@@ -115,8 +114,8 @@ def test_criterion_03_pyramid_gradings_are_good(capsys):
 
     for n in range(1, 9):
         for lam in partitions_of(n):
-            check(build_pyramid(lam, left_aligned_offsets(lam)), lam)
-            check(build_pyramid(lam, right_aligned_offsets(lam)), lam)
+            check(Pyramid(lam, left_aligned_offsets(lam)), lam)
+            check(Pyramid(lam, right_aligned_offsets(lam)), lam)
     for lam, mu in _box_move_pairs(8):
         i, j = box_move_witness(lam, mu)
         check(align_for_theorem(lam, i, j, "source"), lam)

@@ -1,0 +1,78 @@
+"""Layout guard for the package sources, using only the standard library.
+
+No `slred` module may import a `_private` name from a sibling module, and
+every module-level import must be used in its module.  `__init__.py` only
+re-exports, and `from __future__` imports change the compiler, so both are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slred"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _imports(tree: ast.Module):
+    """(bound name, imported name, source module) per module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, source
+
+
+def _is_sibling(source) -> bool:
+    return source is not None and (source.startswith(".") or source.startswith("slred"))
+
+
+def _used_names(tree: ast.Module) -> set:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names listed in __all__ are exported, hence used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+def _violations(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    out = []
+    for bound, name, origin in _imports(tree):
+        if _is_sibling(origin) and _is_private(name):
+            out.append(f"imports private {name} from {origin}")
+        if bound not in used:
+            out.append(f"imports {name} but never uses it")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_layout(path):
+    assert _violations(path.read_text()) == []
+
+
+def test_guard_flags_private_and_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from .lie import _ZERO, Root\n"
+        "from .orbits import Partition  # noqa: F401\n"
+        "def f(r: Root):\n"
+        "    return _ZERO\n"
+    )
+    assert _violations(source) == [
+        "imports os but never uses it",
+        "imports private _ZERO from .lie",
+        "imports Partition but never uses it",
+    ]

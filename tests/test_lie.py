@@ -10,7 +10,6 @@ from slred.lie import (
     Root,
     all_roots,
     bracket,
-    grading_of_root,
     inverse,
     jordan_type,
     nullspace_of_rows,
@@ -163,20 +162,20 @@ def test_jordan_type_rank_drop_conjugacy():
 
 def test_grading_principal_sl2():
     x = GradingElement([F(1, 2), F(-1, 2)])
-    assert grading_of_root(x, Root(1, 2)) == 1
-    assert grading_of_root(x, Root(2, 1)) == -1
+    assert x.of_root(Root(1, 2)) == 1
+    assert x.of_root(Root(2, 1)) == -1
 
 
 def test_grading_zero_element():
     x = GradingElement.zero(4)
-    assert all(grading_of_root(x, r) == 0 for r in all_roots(4))
+    assert all(x.of_root(r) == 0 for r in all_roots(4))
 
 
 def test_grading_from_three_two_pyramid():
     x = GradingElement([F(6, 5), F(1, 5), F(1, 5), F(-4, 5), F(-4, 5)])
-    assert grading_of_root(x, Root(2, 3)) == 0
-    assert grading_of_root(x, Root(1, 2)) == 1
-    assert grading_of_root(x, Root(2, 1)) == -1
+    assert x.of_root(Root(2, 3)) == 0
+    assert x.of_root(Root(1, 2)) == 1
+    assert x.of_root(Root(2, 1)) == -1
 
 
 def test_grading_element_must_be_traceless():

@@ -19,7 +19,6 @@ from slred.pyramids import (
     GoodPair,
     Pyramid,
     align_for_theorem,
-    build_pyramid,
     good_pair,
     grading_element_of,
     is_good_grading,
@@ -56,19 +55,19 @@ def _theorem_windows(lam):
 
 
 def test_three_two_figure_labels():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     assert p.row_labels(1) == [4, 2, 1]
     assert p.row_labels(2) == [5, 3]
     assert p.is_canonical()
 
 
 def test_single_row_labels_right_to_left():
-    p = build_pyramid([5], left_aligned_offsets([5]))
+    p = Pyramid([5], left_aligned_offsets([5]))
     assert p.row_labels(1) == [5, 4, 3, 2, 1]
 
 
 def test_three_cubed_left_aligned_columns():
-    p = build_pyramid([3, 3, 3], left_aligned_offsets([3, 3, 3]))
+    p = Pyramid([3, 3, 3], left_aligned_offsets([3, 3, 3]))
     assert p.row_labels(1) == [7, 4, 1]
     assert p.row_labels(2) == [8, 5, 2]
     assert p.row_labels(3) == [9, 6, 3]
@@ -76,7 +75,7 @@ def test_three_cubed_left_aligned_columns():
 
 def test_offsets_length_checked():
     try:
-        build_pyramid([3, 2], (0,))
+        Pyramid([3, 2], (0,))
     except ValueError:
         pass
     else:
@@ -104,8 +103,8 @@ def test_explicit_labels_validated():
 
 
 def test_global_shift_changes_nothing_derived():
-    a = build_pyramid([3, 2], (1, 0))
-    b = build_pyramid([3, 2], (2, 1))
+    a = Pyramid([3, 2], (1, 0))
+    b = Pyramid([3, 2], (2, 1))
     assert nilpotent_from_pyramid(a) == nilpotent_from_pyramid(b)
     assert grading_element_of(a) == grading_element_of(b)
 
@@ -116,25 +115,25 @@ def test_global_shift_changes_nothing_derived():
 
 
 def test_three_two_nilpotent():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     assert nilpotent_from_pyramid(p) == E(5, 2, 1) + E(5, 4, 2) + E(5, 5, 3)
 
 
 def test_column_partition_nilpotent_is_zero():
-    p = build_pyramid([1, 1, 1], right_aligned_offsets([1, 1, 1]))
+    p = Pyramid([1, 1, 1], right_aligned_offsets([1, 1, 1]))
     assert nilpotent_from_pyramid(p).is_zero()
     assert grading_element_of(p) == GradingElement.zero(3)
 
 
 def test_three_two_grading_element():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     assert grading_element_of(p) == GradingElement(
         [F(6, 5), F(1, 5), F(1, 5), F(-4, 5), F(-4, 5)]
     )
 
 
 def test_single_box_row_grading():
-    p = build_pyramid([2], (1,))
+    p = Pyramid([2], (1,))
     assert grading_element_of(p) == GradingElement([F(1, 2), F(-1, 2)])
 
 
@@ -142,7 +141,7 @@ def test_jordan_type_matches_partition_small_offsets():
     for n in range(1, 5):
         for lam in partitions_of(n):
             for offsets in itertools.product(range(-2, 3), repeat=len(lam)):
-                p = build_pyramid(lam, offsets)
+                p = Pyramid(lam, offsets)
                 f = nilpotent_from_pyramid(p)
                 assert jordan_type(f) == lam.parts, (lam, offsets)
 
@@ -158,7 +157,7 @@ def test_jordan_type_matches_partition_random_offsets(data):
             st.integers(-2, 2), min_size=len(lam), max_size=len(lam)
         )
     )
-    p = build_pyramid(lam, offsets)
+    p = Pyramid(lam, offsets)
     assert jordan_type(nilpotent_from_pyramid(p)) == lam.parts
 
 
@@ -168,7 +167,7 @@ def test_jordan_type_matches_partition_random_offsets(data):
 
 
 def test_align_source_full_window_is_left_aligned():
-    assert align_for_theorem([3, 3, 3], 1, 3, "source") == build_pyramid(
+    assert align_for_theorem([3, 3, 3], 1, 3, "source") == Pyramid(
         [3, 3, 3], left_aligned_offsets([3, 3, 3])
     )
 
@@ -233,7 +232,7 @@ def test_align_rejects_bad_windows():
 
 
 def test_three_two_pair_is_good():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     assert is_good_grading(nilpotent_from_pyramid(p), grading_element_of(p))
 
 
@@ -246,17 +245,17 @@ def test_zero_pair_is_good():
 
 
 def test_gap_pyramid_not_good():
-    p = build_pyramid([1, 1], (0, 2))
+    p = Pyramid([1, 1], (0, 2))
     assert not is_good_grading(nilpotent_from_pyramid(p), grading_element_of(p))
 
 
 def test_good_pair_constructor():
-    p = build_pyramid([2, 1], left_aligned_offsets([2, 1]))
+    p = Pyramid([2, 1], left_aligned_offsets([2, 1]))
     gp = good_pair(p)
     assert isinstance(gp, GoodPair)
     assert gp.f == E(3, 2, 1)
     try:
-        good_pair(build_pyramid([1, 1], (0, 2)))
+        good_pair(Pyramid([1, 1], (0, 2)))
     except ValueError:
         pass
     else:
@@ -267,7 +266,7 @@ def test_aligned_pyramids_good_small():
     for n in range(1, 7):
         for lam in partitions_of(n):
             for offsets in (left_aligned_offsets(lam), right_aligned_offsets(lam)):
-                p = build_pyramid(lam, offsets)
+                p = Pyramid(lam, offsets)
                 f = nilpotent_from_pyramid(p)
                 x = grading_element_of(p)
                 assert jordan_type(f) == lam.parts
@@ -284,7 +283,7 @@ def test_simple_roots_graded_zero_or_one():
     for n in range(2, 7):
         for lam in partitions_of(n):
             for offsets in (left_aligned_offsets(lam), right_aligned_offsets(lam)):
-                x = grading_element_of(build_pyramid(lam, offsets))
+                x = grading_element_of(Pyramid(lam, offsets))
                 for k in range(1, n):
                     assert x.of_root(Root(k, k + 1)) in (0, 1)
 
@@ -304,7 +303,7 @@ def test_upper_centralizer_sits_in_grade_zero():
     # ker(ad f) meets the upper-triangular part only in grade 0
     for n in range(2, 6):
         for lam in partitions_of(n):
-            p = build_pyramid(lam, left_aligned_offsets(lam))
+            p = Pyramid(lam, left_aligned_offsets(lam))
             f = nilpotent_from_pyramid(p)
             x = grading_element_of(p)
             positive = [r for grade in root_decomposition(x).values() for r in grade if r.is_positive]
@@ -331,7 +330,7 @@ def _joint_kernel_dim(mats, roots):
 def test_raising_operator_completes_a_triple():
     for n in range(2, 7):
         for lam in partitions_of(n):
-            p = build_pyramid(lam, left_aligned_offsets(lam))
+            p = Pyramid(lam, left_aligned_offsets(lam))
             f = nilpotent_from_pyramid(p)
             e = raising_operator(p)
             h = bracket(e, f)
@@ -346,7 +345,7 @@ def test_upper_triple_invariants_dimension_formula():
     # can be strictly larger: for [2, 1] it picks up one extra vector.)
     for n in range(2, 7):
         for lam in partitions_of(n):
-            p = build_pyramid(lam, left_aligned_offsets(lam))
+            p = Pyramid(lam, left_aligned_offsets(lam))
             f = nilpotent_from_pyramid(p)
             e = raising_operator(p)
             x = grading_element_of(p)
@@ -357,7 +356,7 @@ def test_upper_triple_invariants_dimension_formula():
 
 def test_centralizer_of_f_alone_can_exceed_the_formula():
     lam = Partition([2, 1])
-    p = build_pyramid(lam, left_aligned_offsets(lam))
+    p = Pyramid(lam, left_aligned_offsets(lam))
     f = nilpotent_from_pyramid(p)
     x = grading_element_of(p)
     positive = [r for grade in root_decomposition(x).values() for r in grade if r.is_positive]
@@ -371,16 +370,16 @@ def test_centralizer_of_f_alone_can_exceed_the_formula():
 
 
 def test_render_ascii_three_two():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     assert render(p, "ascii") == "[5][3]\n[4][2][1]\n-1  0  1"
 
 
 def test_render_ascii_single_box():
-    assert render(build_pyramid([1], (0,)), "ascii") == "[1]\n 0"
+    assert render(Pyramid([1], (0,)), "ascii") == "[1]\n 0"
 
 
 def test_render_tikz_structure():
-    p = build_pyramid([3, 2], (1, 0))
+    p = Pyramid([3, 2], (1, 0))
     text = render(p, "tikz")
     assert text.startswith("\\documentclass[tikz,border=2mm]{standalone}")
     assert text.count("\\node[box]") == 5
@@ -390,7 +389,7 @@ def test_render_tikz_structure():
 
 def test_render_rejects_unknown_format():
     try:
-        render(build_pyramid([1], (0,)), "svg")
+        render(Pyramid([1], (0,)), "svg")
     except ValueError:
         pass
     else:
@@ -398,7 +397,7 @@ def test_render_rejects_unknown_format():
 
 
 def test_pyramid_json():
-    p = build_pyramid([2, 1], (1, 0))
+    p = Pyramid([2, 1], (1, 0))
     assert p.to_json() == {
         "partition": [2, 1],
         "row_offset": [1, 0],

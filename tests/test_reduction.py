@@ -1,12 +1,14 @@
 """Tests for the reduction builder: adjacency data, window embedding,
 conjugators, and the fully verified datum."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slred import cli, reduction
 from slred.lie import ExactMatrix, bracket, jordan_type, trace_form
 from slred.orbits import Partition, covers_of, partitions_of
 from slred.reduction import (
@@ -255,6 +257,41 @@ def test_reduction_case_two_small():
     assert datum.f_lam == E(4, 4, 1)
     assert datum.character == (F(1),)
     assert datum.membership_certified_by == "conjugation"
+
+
+@pytest.fixture
+def fresh_cache():
+    reduction._build_reduction.cache_clear()
+    yield
+    reduction._build_reduction.cache_clear()
+
+
+def test_failed_conjugation_is_an_error(monkeypatch, capsys, fresh_cache):
+    monkeypatch.setattr(reduction, "verify_conjugation", lambda g, f_tilde, f_std: False)
+    with pytest.raises(RuntimeError, match="failed at conjugation:"):
+        build_reduction([3, 2], [4, 1])
+    assert cli.main(["reduce", "3,2", "4,1"]) == 1
+    assert "failed at conjugation:" in capsys.readouterr().err
+
+
+def test_conjugator_outside_g0_is_an_error(monkeypatch, capsys, fresh_cache):
+    """g·(I + f_std) still conjugates, since I + f_std commutes with f_std,
+    but f_std has x2-degree -1, so the product leaves G_0(x2)."""
+    sheared = []
+
+    def embed(inner, lam, ad):
+        pre = embed_case_two(inner, lam, ad)
+        shear = ExactMatrix.identity(lam.n) + pre.f_mu_std
+        g = pre.conjugator_candidate * shear
+        sheared.append(verify_conjugation(g, pre.f_mu_tilde, pre.f_mu_std))
+        return dataclasses.replace(pre, conjugator_candidate=g)
+
+    monkeypatch.setattr(reduction, "embed_case_two", embed)
+    with pytest.raises(RuntimeError, match="failed at conjugator degree:"):
+        build_reduction([3, 2], [4, 1])
+    assert sheared == [True]
+    assert cli.main(["reduce", "3,2", "4,1"]) == 1
+    assert "failed at conjugator degree:" in capsys.readouterr().err
 
 
 def test_reduction_rejects_non_moves():

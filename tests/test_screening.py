@@ -1,5 +1,6 @@
 """Tests for the classical screening-coefficient machinery."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from screening_oracle import g0_conjugate, log_unipotent
 from slred.lie import ExactMatrix, Root, bracket, trace_form
 from slred.orbits import Partition, box_move_witness, partitions_of
-from slred.pyramids import build_pyramid, good_pair, left_aligned_offsets
+from slred.pyramids import Pyramid, good_pair, left_aligned_offsets
 from slred.reduction import build_reduction
 from slred.screening import (
     Poly,
@@ -38,7 +39,7 @@ def _datum(lam, mu):
 
 def _left_pair(parts):
     lam = Partition(parts)
-    return good_pair(build_pyramid(lam, left_aligned_offsets(lam)))
+    return good_pair(Pyramid(lam, left_aligned_offsets(lam)))
 
 
 def _box_moves(n):
@@ -591,8 +592,9 @@ class TestFourierCompare:
         source = screening_coeffs(datum, "source")
         target = screening_coeffs(datum, "target")
         other = screening_coeffs(_datum((2, 1), (3,)), "source")
+        assert other.split != source.split
         with pytest.raises(ValueError, match="incompatible"):
-            fourier_compare(source, target, other.split)
+            fourier_compare(source, dataclasses.replace(target, split=other.split))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Differential tests: the Bernoulli-series translation vector fields, the
-reflected chart inverse and the lean `Poly.substitute` of `slred.screening`
-against the reference routines in `screening_oracle`."""
+reflected chart inverse, the lean `Poly.substitute` and the closed-form
+omega split of `slred.screening` against the reference routines in
+`screening_oracle`."""
 
 from fractions import Fraction
 
@@ -8,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 import screening_oracle
 from slred.lie import ExactMatrix
+from slred.orbits import box_move_witness, partitions_of
+from slred.pyramids import grading_element_of
+from slred.reduction import build_reduction
 from slred.screening import (
     Poly,
     PolyMatrix,
     UnipotentChart,
+    _omega_split,
     exp_nilpotent,
     left_action_of,
     right_action_of,
 )
+from slred.star import BiGrading, bigrade
 
 F = Fraction
 
@@ -123,3 +129,27 @@ def test_substitute_matches_the_multiply_out_route(p, mapping):
     expected = screening_oracle.substitute(p, mapping)
     assert image == expected
     assert image.to_json() == expected.to_json()
+
+
+def test_omega_split_matches_the_trace_form_route_on_every_box_move():
+    checked = paired = 0
+    for n in range(2, 10):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                if lam == mu or box_move_witness(lam, mu) is None:
+                    continue
+                datum = build_reduction(lam, mu)
+                pieces = bigrade(
+                    BiGrading(
+                        grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu)
+                    )
+                )
+                split = _omega_split(datum.f_lam, datum.f_circ, pieces)
+                assert split == screening_oracle.omega_split(
+                    datum.f_lam, datum.f_circ, pieces
+                ), (lam, mu)
+                checked += 1
+                paired += split.pairs > 0
+    assert checked == 146
+    assert paired > 0

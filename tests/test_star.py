@@ -18,8 +18,8 @@ from slred.lie import (
 )
 from slred.orbits import Partition, dominance_leq
 from slred.pyramids import (
+    Pyramid,
     align_for_theorem,
-    build_pyramid,
     grading_element_of,
     left_aligned_offsets,
     nilpotent_from_pyramid,
@@ -29,9 +29,9 @@ from slred.star import (
     BiGradedPiece,
     BiGrading,
     bigrade,
-    centralizer_piece,
     check_star,
     compute_omega,
+    kernel_on_basis,
 )
 
 E = ExactMatrix.unit
@@ -87,7 +87,7 @@ def test_bigrading_rejects_non_integral():
 
 
 def test_bigrade_equal_gradings_is_diagonal():
-    x = grading_element_of(build_pyramid([3, 2], (1, 0)))
+    x = grading_element_of(Pyramid([3, 2], (1, 0)))
     pieces = bigrade(BiGrading(x, x))
     assert all(i == j for (i, j) in pieces)
     assert sum(p.dim for p in pieces.values()) == 5 * 5 - 1
@@ -121,26 +121,32 @@ def test_bigrade_partitions_all_roots(data):
     partitions = partitions_of(n)
     lam1 = data.draw(st.sampled_from(partitions))
     lam2 = data.draw(st.sampled_from(partitions))
-    x1 = grading_element_of(build_pyramid(lam1, left_aligned_offsets(lam1)))
-    x2 = grading_element_of(build_pyramid(lam2, left_aligned_offsets(lam2)))
+    x1 = grading_element_of(Pyramid(lam1, left_aligned_offsets(lam1)))
+    x2 = grading_element_of(Pyramid(lam2, left_aligned_offsets(lam2)))
     pieces = bigrade(BiGrading(x1, x2))
     assert sum(p.dim for p in pieces.values()) == n * n - 1
 
 
 # ----------------------------------------------------------------------
-# centralizer_piece / compute_omega
+# kernel_on_basis / compute_omega
 # ----------------------------------------------------------------------
+
+
+def _complement(f1, piece):
+    """Pivot roots of the echelonized ad(f1)-kernel on a piece."""
+    _kernel, pivots = kernel_on_basis(f1, piece.roots)
+    return [piece.roots[k] for k in pivots]
 
 
 def test_centralizer_of_zero_is_whole_piece():
     piece = BiGradedPiece(3, (0, 1), (Root(1, 2), Root(1, 3)))
-    kernel = centralizer_piece(piece, ExactMatrix.zero(3))
+    kernel, _pivots = kernel_on_basis(ExactMatrix.zero(3), piece.roots)
     assert kernel == piece.basis()
 
 
 def test_centralizer_empty_piece():
     piece = BiGradedPiece(2, (0, 1), ())
-    assert centralizer_piece(piece, E(2, 2, 1)) == []
+    assert kernel_on_basis(E(2, 2, 1), piece.roots)[0] == []
 
 
 def test_centralizer_sl9_matches_index_formula():
@@ -154,13 +160,15 @@ def test_centralizer_sl9_matches_index_formula():
         Root(7, 9),
         Root(8, 9),
     )
-    assert centralizer_piece(piece01, f1) == _ghost_formula(3, 3, 1)
+    assert kernel_on_basis(f1, piece01.roots)[0] == _ghost_formula(3, 3, 1)
 
 
 def test_omega_vacuous_when_both_pieces_vanish():
     empty01 = BiGradedPiece(2, (0, 1), ())
     empty10 = BiGradedPiece(2, (1, 0), ())
-    rows, nondegenerate = compute_omega(E(2, 2, 1), empty01, empty10)
+    rows, nondegenerate = compute_omega(
+        E(2, 2, 1), _complement(E(2, 2, 1), empty01), empty10
+    )
     assert rows == []
     assert nondegenerate
 
@@ -168,7 +176,9 @@ def test_omega_vacuous_when_both_pieces_vanish():
 def test_omega_degenerate_for_zero_f1_with_nonzero_complementary_piece():
     piece01 = BiGradedPiece(2, (0, 1), ())
     piece10 = BiGradedPiece(2, (1, 0), (Root(1, 2),))
-    rows, nondegenerate = compute_omega(ExactMatrix.zero(2), piece01, piece10)
+    rows, nondegenerate = compute_omega(
+        ExactMatrix.zero(2), _complement(ExactMatrix.zero(2), piece01), piece10
+    )
     assert rows == []
     assert not nondegenerate
 
@@ -176,7 +186,9 @@ def test_omega_degenerate_for_zero_f1_with_nonzero_complementary_piece():
 def test_omega_sl9_square_and_full_rank():
     f1, _f2, _fc, bi = _case_one_pair(3, 3, 1)
     pieces = bigrade(bi)
-    rows, nondegenerate = compute_omega(f1, pieces[(0, 1)], pieces[(1, 0)])
+    rows, nondegenerate = compute_omega(
+        f1, _complement(f1, pieces[(0, 1)]), pieces[(1, 0)]
+    )
     assert len(rows) == len(rows[0]) == 4
     assert nondegenerate
     assert rank_of_rows([dict(enumerate(row)) for row in rows]) == 4
