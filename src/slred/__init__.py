@@ -22,6 +22,7 @@ from .orbits import (
     OrbitChain,
     Partition,
     box_move_witness,
+    box_moves_from,
     covers_of,
     dominance_leq,
     is_adjacent,

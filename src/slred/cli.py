@@ -13,12 +13,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Optional
 
 from .orbits import (
     Partition,
     box_move_witness,
+    box_moves_from,
     covers_of,
     is_adjacent,
     partitions_of,
@@ -268,15 +268,16 @@ def verify_all(n_max: int, workers: Optional[int] = None) -> Report:
         workers = int(os.environ.get("SLRED_WORKERS", "1") or "1")
     if workers < 1:
         raise ValueError(f"the worker count must be positive, got {workers}")
-    pairs = []
-    for n in range(2, n_max + 1):
-        parts = partitions_of(n)
-        for lam in parts:
-            for mu in parts:
-                if lam != mu and box_move_witness(lam, mu) is not None:
-                    pairs.append((lam.parts, mu.parts))
+    pairs = [
+        (lam.parts, mu.parts)
+        for n in range(2, n_max + 1)
+        for lam in partitions_of(n)
+        for mu, _rows in box_moves_from(lam)
+    ]
     workers = min(workers, os.cpu_count() or 1, len(pairs))
     if workers > 1:
+        from multiprocessing import Pool  # only pooled sweeps pay its import
+
         with Pool(workers) as pool:
             rows = pool.map(_verify_pair, pairs)
     else:

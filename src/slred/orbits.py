@@ -3,12 +3,15 @@ deterministic reduction paths through the orbit lattice.
 
 A partition labels a nilpotent orbit of sl_N by Jordan type; mu covers lam
 exactly when one box moves from the end of a row block to an earlier row and
-no orbit fits strictly in between.
+no orbit fits strictly in between.  Box moves and covers are generated from
+the rows by that rule (`box_moves_from`), never found by trial.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from itertools import zip_longest
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -19,7 +22,8 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        cleaned = tuple(int(p) for p in parts if int(p) != 0)
+        # operator.index rejects 1.5 or Fraction(3, 2) instead of truncating
+        cleaned = tuple(p for p in map(index, parts) if p)
         if any(p < 0 for p in cleaned):
             raise ValueError("partition parts must be positive")
         if any(cleaned[k] < cleaned[k + 1] for k in range(len(cleaned) - 1)):
@@ -117,12 +121,10 @@ def dominance_leq(lam, mu) -> bool:
     lam, mu = _coerce(lam), _coerce(mu)
     if lam.n != mu.n:
         return False
-    length = max(len(lam), len(mu))
-    acc_l = acc_m = 0
-    for k in range(length):
-        acc_l += lam.part(k + 1)
-        acc_m += mu.part(k + 1)
-        if acc_l > acc_m:
+    lead = 0  # partial sum of lam minus that of mu
+    for a, b in zip_longest(lam.parts, mu.parts, fillvalue=0):
+        lead += a - b
+        if lead > 0:
             return False
     return True
 
@@ -169,23 +171,43 @@ def is_adjacent(lam, mu) -> bool:
     return j == i + 1 or lam.part(i) == lam.part(i + 1)
 
 
+def box_moves_from(lam) -> Iterator[tuple[Partition, tuple[int, int]]]:
+    """Every one-box move (mu, (i, j)) up from lam, by increasing i.
+
+    mu = lam + e_i - e_j with i < j is a box move exactly when row i may grow
+    (i = 1 or lam_{i-1} > lam_i), rows i+1..j share one length, and row j
+    may shrink (j is the last row or lam_{j+1} < lam_j).  So j closes the
+    block of equal rows that starts at row i+1, and one scan finds it.
+    """
+    parts = _coerce(lam).parts
+    rows = len(parts)
+    block_end = [rows] * rows  # 1-based last row of the block holding row k+1
+    for k in range(rows - 2, -1, -1):
+        block_end[k] = block_end[k + 1] if parts[k] == parts[k + 1] else k + 1
+    for i in range(1, rows):
+        if i > 1 and parts[i - 2] == parts[i - 1]:
+            continue
+        j = block_end[i]
+        moved = list(parts)
+        moved[i - 1] += 1
+        moved[j - 1] -= 1
+        yield Partition(moved), (i, j)
+
+
+# Bounded, and still large enough for all 2713 partitions with N <= 20.
+@lru_cache(maxsize=4096)
+def _covers(parts: tuple[int, ...]) -> tuple[Partition, ...]:
+    # a box move i -> j is a cover iff j = i + 1 or lam_i = lam_{i+1}
+    return tuple(
+        mu
+        for mu, (i, j) in box_moves_from(parts)
+        if j == i + 1 or parts[i - 1] == parts[i]
+    )
+
+
 def covers_of(lam) -> set[Partition]:
     """All partitions covering lam in dominance order."""
-    lam = _coerce(lam)
-    length = len(lam.parts)
-    out: set[Partition] = set()
-    for i in range(1, length + 1):
-        for j in range(i + 1, length + 1):
-            parts = list(lam.padded(length))
-            parts[i - 1] += 1
-            parts[j - 1] -= 1
-            try:
-                mu = Partition(parts)
-            except ValueError:
-                continue
-            if is_adjacent(lam, mu):
-                out.add(mu)
-    return out
+    return set(_covers(_coerce(lam).parts))
 
 
 class OrbitChain:

@@ -341,7 +341,10 @@ def _fail(check: str, detail: str) -> RuntimeError:
     return RuntimeError(f"internal verification failed at {check}: {detail}")
 
 
-@lru_cache(maxsize=None)
+# Chains revisit few distinct steps (87 for all 1370 comparable pairs at
+# N = 11) while sweeps never revisit one, so a bounded memo keeps every chain
+# hit and stops a long sweep from holding all of its data.
+@lru_cache(maxsize=256)
 def _build_reduction(
     lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]
 ) -> ReductionDatum:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -261,7 +262,7 @@ class TestVerifyAll:
             def map(self, func, items):
                 return [func(item) for item in items]
 
-        monkeypatch.setattr(slred.cli, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(slred.cli.os, "cpu_count", lambda: 3)
         serial = verify_all(4, workers=1)
         assert requested == []

@@ -3,15 +3,19 @@
 No `slred` module may import a `_private` name from a sibling module, and
 every module-level import must be used in its module.  `__init__.py` only
 re-exports, and `from __future__` imports change the compiler, so both are
-exempt.
+exempt.  Every function the benchmark's tracer wraps must exist under the
+name it wraps, so a rename fails here and not only in a traced run.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slred"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "slred"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -76,3 +80,23 @@ def test_guard_flags_private_and_unused_imports():
         "imports private _ZERO from .lie",
         "imports Partition but never uses it",
     ]
+
+
+def test_traced_functions_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import slred  # noqa: F401  (the tracer looks modules up once this has run)
+
+    targets = [(module, path) for _name, module, path, *_cost in tracer.WRAPPED]
+    targets += [(module, path) for _name, module, path in tracer.COUNTED]
+    assert targets
+    for module, path in targets:
+        owner = sys.modules.get(module)
+        assert owner is not None, f"import slred does not load {module}"
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+            assert owner is not None, f"{module}.{path} does not resolve"
+        assert callable(owner), f"{module}.{path} is not callable"

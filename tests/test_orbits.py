@@ -1,7 +1,9 @@
 """Tests for the partition lattice: dominance, covering, paths."""
 
 import itertools
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from slred.orbits import (
@@ -53,6 +55,12 @@ def oracle_covering(lam, mu, universe):
 
 def test_partition_strips_zeros():
     assert P([3, 2, 0, 0]).parts == (3, 2)
+
+
+@pytest.mark.parametrize("part", [1.5, Fraction(3, 2)])
+def test_partition_rejects_non_integral_parts(part):
+    with pytest.raises(TypeError):
+        P([part, 1])
 
 
 def test_partition_rejects_increasing():

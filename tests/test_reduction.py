@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slred import cli, reduction
+from slred import cli, orbits, reduction
 from slred.lie import ExactMatrix, bracket, jordan_type, trace_form
 from slred.orbits import Partition, covers_of, partitions_of
 from slred.reduction import (
@@ -438,6 +438,12 @@ def test_chain_rejects_incomparable():
         build_chain([3], [2, 1])
     with pytest.raises(ValueError):
         build_chain([2, 2], [3, 2])
+
+
+def test_memos_are_bounded():
+    for memo in (reduction._build_reduction, orbits._covers):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**5
 
 
 def test_chain_steps_are_memoized():
