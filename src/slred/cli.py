@@ -185,13 +185,10 @@ def cmd_chain(args) -> Report:
 
 
 def cmd_check_star(args) -> Report:
-    datum = build_reduction(args.lam, args.mu)
-    cert = datum.certificate
-    status = "pass" if cert.passes else "fail"
-    verdict = "passes" if cert.passes else "fails"
-    summary = f"{args.lam} -> {args.mu}: compatibility certificate {verdict}"
-    lines = tuple(f"{check}: {detail}" for check, detail in sorted(cert.violations.items()))
-    return Report(status, summary, cert.to_json(), lines)
+    # build_reduction raises unless the certificate passes
+    cert = build_reduction(args.lam, args.mu).certificate
+    summary = f"{args.lam} -> {args.mu}: compatibility certificate passes"
+    return Report("pass", summary, cert.to_json())
 
 
 def cmd_screenings(args) -> Report:

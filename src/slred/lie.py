@@ -116,9 +116,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self._e
 
-    def trace(self) -> Fraction:
-        return sum((v for (i, j), v in self._e.items() if i == j), _ZERO)
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.n, {(j, i): v for (i, j), v in self._e.items()})
 
@@ -182,18 +179,6 @@ class ExactMatrix:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def __pow__(self, k: int) -> "ExactMatrix":
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = ExactMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         return (

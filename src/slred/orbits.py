@@ -157,20 +157,6 @@ def box_move_witness(lam, mu) -> Optional[tuple[int, int]]:
     return i, j
 
 
-def is_adjacent(lam, mu) -> bool:
-    """True iff mu covers lam in dominance order.
-
-    On top of the box move i -> j this needs j = i + 1 or lam_i = lam_{i+1};
-    otherwise an intermediate orbit exists.
-    """
-    lam, mu = _coerce(lam), _coerce(mu)
-    witness = box_move_witness(lam, mu)
-    if witness is None:
-        return False
-    i, j = witness
-    return j == i + 1 or lam.part(i) == lam.part(i + 1)
-
-
 def box_moves_from(lam) -> Iterator[tuple[Partition, tuple[int, int]]]:
     """Every one-box move (mu, (i, j)) up from lam, by increasing i.
 
@@ -208,6 +194,16 @@ def _covers(parts: tuple[int, ...]) -> tuple[Partition, ...]:
 def covers_of(lam) -> set[Partition]:
     """All partitions covering lam in dominance order."""
     return set(_covers(_coerce(lam).parts))
+
+
+def is_adjacent(lam, mu) -> bool:
+    """True iff mu covers lam in dominance order.
+
+    That is a box move i -> j with, on top, j = i + 1 or lam_i = lam_{i+1}
+    (otherwise an orbit fits strictly in between), so it is a lookup in the
+    memoized covers of lam.
+    """
+    return _coerce(mu) in _covers(_coerce(lam).parts)
 
 
 class OrbitChain:

@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence, Union
 
-from .lie import ExactMatrix, RationalLike, inverse, jordan_type, trace_form
-from .orbits import Partition, box_move_witness, dominance_leq, reduction_path
+from .lie import ExactMatrix, RationalLike, inverse, jordan_type
+from .orbits import Partition, box_move_witness, reduction_path
 from .pyramids import (
     Pyramid,
     align_for_theorem,
@@ -385,7 +385,8 @@ def _build_reduction(
             "kernel route disagrees with the index-formula route",
         )
 
-    character = tuple(trace_form(pre.f_circ, g) for g in pre.ghost_basis)
+    # check_star paired f2 - f1 = f_circ with the ghosts checked equal above
+    character = certificate.character
     expected = (Fraction(b),) + (Fraction(0),) * (len(pre.ghost_basis) - 1)
     if character != expected:
         raise _fail("character", f"{character} != {expected}")
@@ -420,10 +421,11 @@ def build_reduction(lam: PartitionLike, mu: PartitionLike) -> ReductionDatum:
 
 
 def build_chain(lam: PartitionLike, mu: PartitionLike) -> list[ReductionDatum]:
-    """One verified datum per step of the canonical path from lam to mu."""
-    lam, mu = _coerce(lam), _coerce(mu)
-    if not dominance_leq(lam, mu):
-        raise ValueError(f"{lam} does not precede {mu} in dominance order")
+    """One verified datum per step of the canonical path from lam to mu.
+
+    Raises ValueError, through `reduction_path`, unless lam is below mu in
+    dominance order.
+    """
     steps = reduction_path(lam, mu).steps
     return [
         build_reduction(steps[k], steps[k + 1]) for k in range(len(steps) - 1)

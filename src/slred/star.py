@@ -27,7 +27,6 @@ from .lie import (
     Root,
     ad_rows,
     all_roots,
-    jordan_type,
     nullspace_of_rows,
     rank_of_rows,
     trace_form,
@@ -272,9 +271,8 @@ def check_star(
     n = bi.n
     if f1.n != n or f2.n != n:
         raise ValueError("nilpotents and gradings live on different sl_N")
+    # the goodness checks below raise on a non-nilpotent f1 or f2_rep
     f2_rep = f2 if witness is None else _witnessed_representative(witness, f2, bi)
-    jordan_type(f1)
-    jordan_type(f2_rep)
 
     pieces = bigrade(bi)
     violations: dict[str, list[str]] = {}

@@ -5,6 +5,11 @@ kernel: Bareiss elimination on an integer copy for ranks, a dense
 `Fraction` RREF for kernels and inverses, and the Jordan type from the
 ranks of powers.  They are independent of the sparse code and are only
 ever compared against it.
+
+`is_good_grading` is the package's goodness check as it stood while it
+also tested the surjective axioms (its nilpotency guard now resolves to the
+dense `jordan_type` here); the package tests injectivity alone, and this
+two-sided version is the oracle for that duality.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from slred.lie import ExactMatrix
+from slred.lie import (
+    ExactMatrix,
+    GradingElement,
+    Root,
+    ad_rank,
+    root_decomposition,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -168,3 +179,36 @@ def jordan_type(m: ExactMatrix) -> tuple[int, ...]:
         parts.extend([k] * exactly)
     parts.sort(reverse=True)
     return tuple(parts)
+
+
+def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
+    """Exact check of the three good-grading axioms for an even grading.
+
+    f must live in degree -1, ad(f) must be injective on every positive
+    degree and surjective onto every negative one; all three are rank
+    computations on graded components, which `ad_rank` does by union-find
+    when f is a 0/1 partial permutation (every pyramid nilpotent is one).
+    """
+    if f.n != x.n:
+        raise ValueError("size mismatch between f and x")
+    jordan_type(f)  # raises on a non-nilpotent candidate
+    if any(i == j for (i, j), _v in f.items()):
+        return False
+    if any(x.of_root(Root(i, j)) != -1 for (i, j), _v in f.items()):
+        return False
+    decomposition = root_decomposition(x)
+    grades = sorted(decomposition)
+    for grade in grades:
+        roots = decomposition[grade]
+        if grade > 0:
+            # ker(ad f) trivial on g_d, d > 0
+            if ad_rank(f, roots) != len(roots):
+                return False
+        elif grade <= -1:
+            # g_d, d < 0, inside the image of ad f from g_{d+1}
+            units = list(decomposition.get(grade + 1, []))
+            if grade == -1:
+                units.extend((k, k) for k in range(1, f.n + 1))
+            if ad_rank(f, units) != len(roots):
+                return False
+    return True

@@ -3,9 +3,11 @@
 The package used to find covers by trial and error: build every partition
 lam + e_i - e_j, keep those `is_adjacent` accepts, and walk reduction paths
 through them; `verify-all` found its pairs by testing `box_move_witness` on
-all p(N)^2 ordered pairs.  Those routines live on here unchanged.  They are
-independent of the row rule that `box_moves_from` applies and are only ever
-compared against it.
+all p(N)^2 ordered pairs.  Those routines live on here unchanged, and so does
+the old `is_adjacent`, which applied the cover clause to the witness of
+`box_move_witness`; the package's `is_adjacent` now looks mu up among the
+covers that `box_moves_from` generates.  The routines here are independent
+of that row rule and are only ever compared against it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from slred.orbits import (
     Partition,
     _coerce,
     box_move_witness,
-    is_adjacent,
     partitions_of,
 )
 
@@ -36,6 +37,20 @@ def dominance_leq(lam, mu) -> bool:
         if acc_l > acc_m:
             return False
     return True
+
+
+def is_adjacent(lam, mu) -> bool:
+    """True iff mu covers lam in dominance order.
+
+    On top of the box move i -> j this needs j = i + 1 or lam_i = lam_{i+1};
+    otherwise an intermediate orbit exists.
+    """
+    lam, mu = _coerce(lam), _coerce(mu)
+    witness = box_move_witness(lam, mu)
+    if witness is None:
+        return False
+    i, j = witness
+    return j == i + 1 or lam.part(i) == lam.part(i + 1)
 
 
 def covers_of(lam) -> set[Partition]:

@@ -1,16 +1,18 @@
 """Differential tests: the row rule of `slred.orbits.box_moves_from`, the
-covers, dominance test and reduction paths built on it, and the pairs that
-`verify_all` sweeps, against the trial-and-error routines in
+covers, adjacency test, dominance test and reduction paths built on it, and
+the pairs that `verify_all` sweeps, against the trial-and-error routines in
 `orbit_oracle`."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbit_oracle
 import slred.cli
 from slred.cli import verify_all
 from slred.orbits import (
+    OrbitChain,
     Partition,
     box_move_witness,
     box_moves_from,
@@ -49,6 +51,24 @@ def test_box_moves_come_by_increasing_destination_row():
     assert moves == [(Partition([6, 3, 3, 2]), (1, 4)), (Partition([5, 4, 3, 2]), (2, 4))]
     assert list(box_moves_from(Partition([4]))) == []
     assert list(box_moves_from(Partition([]))) == []
+
+
+def test_adjacency_matches_the_oracle_on_all_pairs_through_n10():
+    # every ordered pair, equal pairs and pairs of different N included
+    universe = [lam for n in range(1, 11) for lam in partitions_of(n)]
+    adjacent = 0
+    for lam, mu in itertools.product(universe, repeat=2):
+        verdict = is_adjacent(lam, mu)
+        assert verdict == orbit_oracle.is_adjacent(lam, mu), (lam, mu)
+        adjacent += verdict
+    assert adjacent == sum(len(covers_of(lam)) for lam in universe)
+
+
+def test_chain_rejects_a_box_move_that_is_not_a_cover():
+    # [5,3,3,3] -> [6,3,3,2] moves a box from row 4 to row 1 past [5,4,3,2]
+    assert box_move_witness([5, 3, 3, 3], [6, 3, 3, 2]) == (1, 4)
+    with pytest.raises(ValueError, match="not adjacent"):
+        OrbitChain([[5, 3, 3, 3], [6, 3, 3, 2]])
 
 
 def test_dominance_and_paths_match_the_oracle_through_n10():
@@ -95,4 +115,6 @@ def test_generated_moves_carry_their_witness(lam):
         assert all(a >= b for a, b in zip(mu.parts, mu.parts[1:]))
         assert box_move_witness(lam, mu) == (i, j)
     assert len({mu for mu, _rows in moves}) == len(moves)
-    assert covers_of(lam) == {mu for mu, _rows in moves if is_adjacent(lam, mu)}
+    assert covers_of(lam) == {
+        mu for mu, _rows in moves if orbit_oracle.is_adjacent(lam, mu)
+    }

@@ -3,6 +3,7 @@ conjugators, and the fully verified datum."""
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,26 @@ def test_conjugator_outside_g0_is_an_error(monkeypatch, capsys, fresh_cache):
     assert "failed at conjugator degree:" in capsys.readouterr().err
 
 
+def test_one_datum_computes_three_jordan_types(monkeypatch, fresh_cache):
+    """One Jordan type for f_mu_std in the builder, and one inside each of
+    the certificate's two goodness checks, which also guard nilpotency."""
+    original = jordan_type
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slred") and getattr(module, "jordan_type", None) is original:
+            monkeypatch.setattr(module, "jordan_type", counted)
+            patched.append(name)
+    assert {"slred.pyramids", "slred.reduction"} <= set(patched)
+    build_reduction([5, 3, 3, 3], [5, 4, 3, 2])
+    assert 0 < len(calls) <= 3
+
+
 def test_reduction_rejects_non_moves():
     with pytest.raises(ValueError):
         build_reduction([3, 2, 1], [4, 2])
@@ -434,7 +455,7 @@ def test_chain_full_flag_sl4():
 
 
 def test_chain_rejects_incomparable():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not below"):
         build_chain([3], [2, 1])
     with pytest.raises(ValueError):
         build_chain([2, 2], [3, 2])

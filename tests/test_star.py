@@ -228,6 +228,20 @@ def test_check_star_rejects_non_nilpotent():
         check_star(ExactMatrix.identity(2), ExactMatrix.zero(2), bi)
 
 
+def test_check_star_rejects_non_nilpotent_f2():
+    # the goodness check on (f2, x2) is the guard: f2 carries a 3-cycle
+    f1 = E(3, 1, 2) + E(3, 2, 3)
+    f2 = f1 + E(3, 3, 1)
+    bi = BiGrading(
+        GradingElement.from_xcoords([2, 1, 0]), GradingElement.from_xcoords([0, 1, 1])
+    )
+    assert GradingElement.zero(3) not in (bi.x1, bi.x2)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        check_star(f1, f2, bi)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        check_star(f2, f1, bi)
+
+
 def test_check_star_rejects_size_mismatch():
     bi = BiGrading(GradingElement.zero(2), GradingElement.zero(2))
     with pytest.raises(ValueError):

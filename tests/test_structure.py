@@ -2,7 +2,9 @@
 
 A 0/1 partial permutation takes the union-find rank in `ad_rank` and the
 chain lengths in `jordan_type`; scaling it by 2 keeps every verdict but
-sends it down the elimination route, which serves as the oracle.  Integer
+sends it down the elimination route, which serves as the oracle.  The
+injective-only goodness check is held against the two-sided one kept in
+`dense_oracle`, on the pyramid census and on non-even gradings.  Integer
 root degrees are checked against `Fraction` `of_root`, the closed-form omega
 pairing against `trace_form(f1, bracket(u, v))`, and the certificate's
 abelian flags against pairwise brackets.
@@ -125,6 +127,23 @@ def test_cyclic_partial_permutation_is_not_nilpotent(chain, length, data):
 _coordinate = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chains(), st.data())
+def test_injective_half_matches_the_two_sided_check(chain, data):
+    # fractional coordinates give non-even gradings; 2 * f takes elimination
+    f, _lengths, chains = chain
+    xs = data.draw(st.lists(_coordinate, min_size=f.n, max_size=f.n))
+    if data.draw(st.booleans()):
+        for c in chains:
+            for k, label in enumerate(c):
+                xs[label - 1] = xs[c[0] - 1] + k
+    x = GradingElement.from_xcoords(xs)
+    verdict = dense_oracle.is_good_grading(f, x)
+    event(f"good={verdict} even={x.is_even()}")
+    assert is_good_grading(f, x) == verdict
+    assert is_good_grading(2 * f, x) == dense_oracle.is_good_grading(2 * f, x) == verdict
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +287,8 @@ def test_cross_pyramid_goodness_census():
                 pairs += 1
                 verdict = is_good_grading(f, x)
                 assert verdict == is_good_grading(2 * f, x), (p, q)
+                assert verdict == dense_oracle.is_good_grading(f, x), (p, q)
+                assert verdict == dense_oracle.is_good_grading(2 * f, x), (p, q)
                 assert not verdict or p.partition == q.partition, (p, q)
                 good += verdict
     assert (pairs, good, pairs - good) == (359, 64, 295)
