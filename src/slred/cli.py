@@ -40,6 +40,11 @@ from .screening import fourier_signs, screening_coeffs
 #: 2-vCPU x86-64 VM.
 MAX_VERIFY_N = 16
 
+#: orbits refuses larger N.  sl_N has p(N) orbits: 5604 at N = 30 (about
+#: 1 s and 53 MB for `orbits 30 --json` on a 2-vCPU x86-64 VM), but about
+#: 1.9e8 at N = 100, which would exhaust memory.
+MAX_ORBITS_N = 30
+
 _EXIT_CODES = {"pass": 0, "fail": 1, "error": 2}
 
 
@@ -91,6 +96,8 @@ def _partition(text: str) -> Partition:
 def cmd_orbits(args) -> Report:
     if args.n < 1:
         raise ValueError(f"N must be positive, got {args.n}")
+    if args.n > MAX_ORBITS_N:
+        raise ValueError(f"N must be at most {MAX_ORBITS_N}, got {args.n}")
     orbits = sorted(partitions_of(args.n), key=lambda p: p.parts, reverse=True)
     payload = {
         "n": args.n,
@@ -317,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tikz", action="store_true", help="print the TikZ rendering")
 
     p = sub.add_parser("orbits", help="list the nilpotent orbits of sl_N with cover relations")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"the rank N (<= {MAX_ORBITS_N})")
     common(p)
     p.set_defaults(handler=cmd_orbits)
 

@@ -48,12 +48,16 @@ def all_roots(n: int) -> list[Root]:
     return [Root(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-class ExactMatrix:
-    """Sparse N x N matrix over the rationals.
+class SparseMatrix:
+    """Sparse N x N matrix over a commutative ring, 1-based and immutable.
 
     Entries are indexed by (row, col) in [1, N]; zero entries are never
-    stored.  Instances are treated as immutable: all arithmetic returns new
-    matrices.
+    stored.  The arithmetic uses only +, * and unary - of the entries and
+    a falsy zero.  A subclass fixes the ring: `_coerce` turns a given
+    entry into a ring element or raises TypeError, and `scale` multiplies
+    by a ring scalar or returns NotImplemented.  Two different subclasses
+    never mix: their sum or product raises TypeError and they compare
+    unequal.
     """
 
     __slots__ = ("n", "_e")
@@ -62,33 +66,99 @@ class ExactMatrix:
         if n < 1:
             raise ValueError("matrix size must be positive")
         self.n = n
-        e: dict[tuple[int, int], Fraction] = {}
+        e: dict = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
+            coerce = self._coerce
             for (i, j), v in items:
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"index ({i},{j}) out of range for size {n}")
-                v = _rat(v)
+                v = coerce(v)
                 if v:
                     e[(i, j)] = v
         self._e = e
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
+    @classmethod
+    def _of(cls, n: int, entries: dict):
+        """Wrap entries that are already coerced and nonzero."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._e = entries
+        return out
 
     @classmethod
-    def zero(cls, n: int) -> "ExactMatrix":
+    def zero(cls, n: int):
         return cls(n)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, {(i, i): _ONE for i in range(1, n + 1)})
+    def identity(cls, n: int):
+        return cls(n, {(i, i): 1 for i in range(1, n + 1)})
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "ExactMatrix":
+    def unit(cls, n: int, i: int, j: int):
         """The matrix unit E_{i,j}."""
-        return cls(n, {(i, j): _ONE})
+        return cls(n, {(i, j): 1})
+
+    def items(self) -> Iterator[tuple[tuple[int, int], object]]:
+        """Entries sorted by (row, col)."""
+        return iter(sorted(self._e.items()))
+
+    def is_zero(self) -> bool:
+        return not self._e
+
+    def _require_same_size(self, other: "SparseMatrix") -> None:
+        if self.n != other.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same_size(other)
+        e = dict(self._e)
+        for k, v in other._e.items():
+            s = e[k] + v if k in e else v
+            if s:
+                e[k] = s
+            else:
+                del e[k]
+        return self._of(self.n, e)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self.n, {k: -v for k, v in self._e.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._require_same_size(other)
+        rows_b: dict[int, list] = {}
+        for (i, j), v in other._e.items():
+            rows_b.setdefault(i, []).append((j, v))
+        acc: dict = {}
+        for (i, k), va in self._e.items():
+            for j, vb in rows_b.get(k, ()):
+                p = va * vb
+                acc[i, j] = acc[i, j] + p if (i, j) in acc else p
+        return self._of(self.n, {k: v for k, v in acc.items() if v})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self._e == other._e
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self._e.items())))
+
+
+class ExactMatrix(SparseMatrix):
+    """Sparse N x N matrix over the rationals, with Fraction entries."""
+
+    __slots__ = ()
+
+    _coerce = staticmethod(_rat)
 
     @classmethod
     def root_vector(cls, n: int, root: Root) -> "ExactMatrix":
@@ -96,99 +166,24 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike]) -> "ExactMatrix":
-        return cls(len(diag), {(i + 1, i + 1): _rat(v) for i, v in enumerate(diag)})
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
+        return cls(len(diag), {(i + 1, i + 1): v for i, v in enumerate(diag)})
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._e.get((i, j), _ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        """Entries sorted by (row, col)."""
-        return iter(sorted(self._e.items()))
 
     def support(self) -> list[Root]:
         """Off-diagonal positions carrying a nonzero entry."""
         return sorted(Root(i, j) for (i, j) in self._e if i != j)
 
-    def is_zero(self) -> bool:
-        return not self._e
-
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.n, {(j, i): v for (i, j), v in self._e.items()})
+        return ExactMatrix._of(self.n, {(j, i): v for (i, j), v in self._e.items()})
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-
-    def _require_same_size(self, other: "ExactMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
+    def scale(self, c) -> "ExactMatrix":
+        """The matrix times a rational scalar (an int or a Fraction)."""
+        if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        self._require_same_size(other)
-        e = dict(self._e)
-        for k, v in other._e.items():
-            s = e.get(k, _ZERO) + v
-            if s:
-                e[k] = s
-            else:
-                e.pop(k, None)
-        out = ExactMatrix.__new__(ExactMatrix)
-        out.n = self.n
-        out._e = e
-        return out
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "ExactMatrix":
-        out = ExactMatrix.__new__(ExactMatrix)
-        out.n = self.n
-        out._e = {k: -v for k, v in self._e.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            self._require_same_size(other)
-            rows_b: dict[int, list[tuple[int, Fraction]]] = {}
-            for (i, j), v in other._e.items():
-                rows_b.setdefault(i, []).append((j, v))
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (i, k), va in self._e.items():
-                for j, vb in rows_b.get(k, ()):
-                    key = (i, j)
-                    acc[key] = acc.get(key, _ZERO) + va * vb
-            out = ExactMatrix.__new__(ExactMatrix)
-            out.n = self.n
-            out._e = {k: v for k, v in acc.items() if v}
-            return out
-        if isinstance(other, (int, Fraction)):
-            c = _rat(other)
-            out = ExactMatrix.__new__(ExactMatrix)
-            out.n = self.n
-            out._e = {} if not c else {k: v * c for k, v in self._e.items()}
-            return out
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.n == other.n
-            and self._e == other._e
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._e.items())))
+        c = _rat(c)
+        return ExactMatrix._of(self.n, {k: v * c for k, v in self._e.items()} if c else {})
 
     def __repr__(self) -> str:
         terms = " + ".join(
@@ -230,15 +225,17 @@ def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
-def trace_form(a: ExactMatrix, b: ExactMatrix) -> Fraction:
-    """The invariant bilinear form tr(ab) of the defining representation."""
+def trace_form(a: SparseMatrix, b: SparseMatrix):
+    """The invariant bilinear form tr(ab) of the defining representation.
+
+    Either matrix may be an ExactMatrix or any other SparseMatrix whose
+    entries multiply with Fractions; the sum starts from the Fraction 0.
+    """
     a._require_same_size(b)
-    cols_b: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in b._e.items():
-        cols_b.setdefault(j, {})[i] = v
+    entries_b = b._e
     total = _ZERO
     for (i, k), va in a._e.items():
-        vb = cols_b.get(i, {}).get(k)
+        vb = entries_b.get((k, i))
         if vb is not None:
             total += va * vb
     return total

@@ -234,21 +234,22 @@ def raising_operator(p: Pyramid) -> ExactMatrix:
 def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
     """Exact check of the good-grading axioms for the pair (f, x).
 
-    f must be nilpotent (anything else raises), off the diagonal and of
-    degree -1, and ad(f) must be injective on every positive degree.  The
-    trace form pairs g_d with g_(-d), and ad(f): g_d -> g_(d-1) is minus the
-    transpose of ad(f): g_(1-d) -> g_(-d) under it.  So injectivity on g_d
-    is surjectivity onto g_(-d), and the surjective axioms need no check of
+    f must be nilpotent (anything else raises) and of degree -1, and ad(f)
+    must be injective on every positive degree.  An f whose every entry has
+    degree -1 lowers each x-eigenvalue by 1, so it is nilpotent and off the
+    diagonal without a further test; only an f that fails the degree test
+    has its nilpotency checked, by `jordan_type`.  The trace form pairs g_d
+    with g_(-d), and ad(f): g_d -> g_(d-1) is minus the transpose of
+    ad(f): g_(1-d) -> g_(-d) under it.  So injectivity on g_d is
+    surjectivity onto g_(-d), and the surjective axioms need no check of
     their own (Elashvili-Kac, 2005).  Each injectivity is a rank on one
     graded component, which `ad_rank` finds by union-find when f is a 0/1
     partial permutation (every pyramid nilpotent is one).
     """
     if f.n != x.n:
         raise ValueError("size mismatch between f and x")
-    jordan_type(f)  # raises on a non-nilpotent candidate
-    if any(i == j for (i, j), _v in f.items()):
-        return False
     if any(x.of_root(Root(i, j)) != -1 for (i, j), _v in f.items()):
+        jordan_type(f)  # raises on a non-nilpotent candidate
         return False
     return all(
         ad_rank(f, roots) == len(roots)

@@ -191,11 +191,7 @@ def _window_labels(p: Pyramid, i: int, j: int) -> tuple[int, ...]:
     )
 
 
-def _embedded_conjugator(
-    inner: CaseOneDatum,
-    unit_a: RationalLike = _ONE,
-    unit_b: RationalLike = _ONE,
-) -> ExactMatrix:
+def _embedded_conjugator(inner: CaseOneDatum) -> ExactMatrix:
     """The height-two conjugator spread over the full window [a, b^(s+1)].
 
     f_circ only touches the top and bottom rows of the window, and both
@@ -204,7 +200,7 @@ def _embedded_conjugator(
     through the order isomorphism onto those labels and as the identity
     on every interior row.
     """
-    g2 = conjugator_height_two(inner.a, inner.b, unit_a, unit_b)
+    g2 = conjugator_height_two(inner.a, inner.b)
     source = align_for_theorem(inner.lam, 1, inner.s + 2, "source")
     outer = tuple(
         sorted(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Union
 
-from .lie import ExactMatrix, Root, bracket, inverse, trace_form
+from .lie import ExactMatrix, Root, SparseMatrix, bracket, inverse, trace_form
 from .pyramids import GoodPair, grading_element_of
 from .reduction import ReductionDatum
 from .star import BiGrading, bigrade, kernel_on_basis, omega_rows
@@ -34,7 +34,6 @@ _KIND_ORDER = {"z": 0, "beta": 1, "gamma": 2, "beta-hat": 3, "gamma-hat": 4}
 
 Var = tuple
 Monomial = tuple
-Scalar = Union["Poly", Fraction, int, str]
 
 
 def _norm_var(kind: str, index) -> Var:
@@ -106,6 +105,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
@@ -248,102 +250,44 @@ def _as_poly(value) -> "Poly":
 # ----------------------------------------------------------------------
 
 
-class PolyMatrix:
-    """Square matrix with Poly entries, 1-based and sparse like ExactMatrix."""
+class PolyMatrix(SparseMatrix):
+    """Square matrix with Poly entries; its arithmetic is SparseMatrix's."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: Optional[dict] = None):
-        self.n = n
-        self.entries: dict[tuple[int, int], Poly] = {}
-        for (i, j), value in (entries or {}).items():
-            p = _as_poly(value)
-            if p is NotImplemented:
-                raise TypeError(f"entry ({i},{j}) is not a polynomial or scalar")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"entry ({i},{j}) outside a {n}x{n} matrix")
-            if not p.is_zero():
-                self.entries[(i, j)] = p
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(n, {(i, i): 1 for i in range(1, n + 1)})
+    @staticmethod
+    def _coerce(value) -> Poly:
+        p = _as_poly(value)
+        if p is NotImplemented:
+            raise TypeError(f"expected a polynomial or scalar, got {type(value).__name__}")
+        return p
 
     @classmethod
     def from_exact(cls, m: ExactMatrix) -> "PolyMatrix":
-        return cls(m.n, {pos: Poly.const(v) for pos, v in m.items()})
+        return cls(m.n, m.items())
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.entries.get((i, j), Poly())
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check(other)
-        acc = dict(self.entries)
-        for pos, p in other.entries.items():
-            acc[pos] = acc[pos] + p if pos in acc else p
-        return PolyMatrix(self.n, acc)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.n, {pos: -p for pos, p in self.entries.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            self._check(other)
-            rows_b: dict[int, list[tuple[int, Poly]]] = {}
-            for (i, j), p in other.entries.items():
-                rows_b.setdefault(i, []).append((j, p))
-            acc: dict[tuple[int, int], Poly] = {}
-            for (i, k), pa in self.entries.items():
-                for j, pb in rows_b.get(k, ()):
-                    p = pa * pb
-                    acc[i, j] = acc[i, j] + p if (i, j) in acc else p
-            return PolyMatrix(self.n, acc)
-        return self.scale(other)
+        return self._e.get((i, j), Poly())
 
     def scale(self, value) -> "PolyMatrix":
+        """The matrix times a polynomial or rational scalar."""
         p = _as_poly(value)
         if p is NotImplemented:
             return NotImplemented
-        return PolyMatrix(self.n, {pos: q * p for pos, q in self.entries.items()})
-
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.entries.items())))
+        return PolyMatrix._of(self.n, {pos: q * p for pos, q in self._e.items()} if p else {})
 
     def support(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
-
-    def _check(self, other: "PolyMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+        """Positions carrying a nonzero entry, sorted."""
+        return sorted(self._e)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({i},{j}): {p!r}" for (i, j), p in sorted(self.entries.items()))
+        body = ", ".join(f"({i},{j}): {p!r}" for (i, j), p in self.items())
         return f"PolyMatrix({self.n}, {{{body}}})"
 
 
 def trace_pair(a: ExactMatrix, m: PolyMatrix) -> Poly:
     """Trace-form pairing tr(a·m) of an exact matrix against a polynomial one."""
-    if a.n != m.n:
-        raise ValueError(f"size mismatch: {a.n} vs {m.n}")
-    total = Poly()
-    for (i, j), v in a.items():
-        p = m.entry(j, i)
-        if not p.is_zero():
-            total = total + p * v
-    return total
+    return Poly() + trace_form(a, m)
 
 
 def exp_nilpotent(m: PolyMatrix) -> PolyMatrix:
@@ -415,7 +359,7 @@ def _negate_coordinates(m: PolyMatrix) -> PolyMatrix:
                     for mono, c in p.terms.items()
                 }
             )
-            for pos, p in m.entries.items()
+            for pos, p in m.items()
         },
     )
 
@@ -456,8 +400,8 @@ def _read_chart_coefficients(
     eps: PolyMatrix, chart: UnipotentChart, action: str
 ) -> dict[Root, Poly]:
     have = {tuple(r) for r in chart.roots}
-    for (i, j), p in eps.entries.items():
-        if (i, j) not in have and not p.is_zero():
+    for i, j in eps.support():
+        if (i, j) not in have:
             raise ValueError(
                 f"{action} action leaves the chart at ({i},{j}); "
                 "the root set is not closed under the action"
@@ -688,7 +632,7 @@ def screening_coeffs(
             coeffs.append(total)
             continue
 
-        w = ginv * PolyMatrix.from_exact(ExactMatrix.unit(n, i, i + 1)) * g
+        w = ginv * PolyMatrix.unit(n, i, i + 1) * g
         if degree == (1, 1):
             coeffs.append(trace_pair(f1 if side == "source" else f2, w))
         elif degree == (0, 1):

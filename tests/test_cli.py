@@ -12,7 +12,7 @@ import pytest
 from jsonschema import validate
 
 import slred.cli
-from slred.cli import MAX_VERIFY_N, Report, emit, main, verify_all
+from slred.cli import MAX_ORBITS_N, MAX_VERIFY_N, Report, emit, main, verify_all
 
 DATA = Path(__file__).parent / "data"
 
@@ -312,6 +312,12 @@ class TestExitCodes:
         code, _out, err = _run(capsys, "orbits", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_orbits_bound_is_enforced(self, capsys):
+        assert MAX_ORBITS_N == 30
+        code, _out, err = _run(capsys, "orbits", "31")
+        assert code == 2
+        assert "at most 30" in err
 
     def test_error_report_in_json_mode_validates(self, capsys):
         code, doc = _run_json(capsys, "orbits", "0")

@@ -3,8 +3,10 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from slred import pyramids
 from slred.lie import (
     ExactMatrix,
     GradingElement,
@@ -247,6 +249,30 @@ def test_zero_pair_is_good():
 def test_gap_pyramid_not_good():
     p = Pyramid([1, 1], (0, 2))
     assert not is_good_grading(nilpotent_from_pyramid(p), grading_element_of(p))
+
+
+def test_goodness_types_only_an_f_off_degree_minus_one():
+    """Degree -1 makes f nilpotent, so only an f that fails it is typed:
+    a non-nilpotent one raises, and a nilpotent one with a diagonal entry
+    is not good."""
+    x = GradingElement([F(1, 2), F(-1, 2)])
+    with pytest.raises(ValueError, match="not nilpotent"):
+        is_good_grading(E(2, 1, 1), x)
+    diagonal_nilpotent = ExactMatrix(2, {(1, 1): 1, (1, 2): 1, (2, 1): -1, (2, 2): -1})
+    assert jordan_type(diagonal_nilpotent) == (2,)
+    assert not is_good_grading(diagonal_nilpotent, x)
+
+
+def test_good_pair_computes_one_jordan_type(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return jordan_type(m)
+
+    monkeypatch.setattr(pyramids, "jordan_type", counted)
+    good_pair(Pyramid([3, 2], (1, 0)))
+    assert len(calls) == 1
 
 
 def test_good_pair_constructor():
