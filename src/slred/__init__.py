@@ -39,7 +39,6 @@ from .pyramids import (
     is_good_grading,
     left_aligned_offsets,
     nilpotent_from_pyramid,
-    raising_operator,
     render,
     right_aligned_offsets,
 )
@@ -75,5 +74,6 @@ from .screening import (
     left_action_of,
     right_action_of,
     screening_coeffs,
+    screening_pair,
 )
 from .cli import Report, emit, main, verify_all

@@ -33,7 +33,7 @@ from .pyramids import (
     render_tikz,
 )
 from .reduction import adjacency_data, build_chain, build_reduction
-from .screening import fourier_signs, screening_coeffs
+from .screening import fourier_signs, screening_coeffs, screening_pair
 
 #: verify-all refuses larger sweeps.  The full N <= 16 sweep (2159 box-move
 #: pairs, 618 of them at N = 16) takes about 10 s serially on one core of a
@@ -211,9 +211,7 @@ def cmd_screenings(args) -> Report:
         summary = f"{lam}: {len(sset.cases)} screening coefficient(s)"
         return Report("pass", summary, payload, lines)
 
-    datum = build_reduction(lam, args.mu)
-    source = screening_coeffs(datum, "source")
-    target = screening_coeffs(datum, "target")
+    source, target = screening_pair(build_reduction(lam, args.mu))
     signs = fourier_signs(source, target)
     matched = all(s is not None for s in signs)
     payload = {
@@ -400,6 +398,20 @@ def _print_report(report: Report, args) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader left early (`slred orbits 30 | head -1`).  Point stdout
+        # at devnull so the flush at exit cannot raise again, as the signal
+        # module's documentation recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the report was written", file=sys.stderr)
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.json and (getattr(args, "ascii", False) or getattr(args, "tikz", False)):

@@ -215,22 +215,6 @@ def grading_element_of(p: Pyramid) -> GradingElement:
     return GradingElement.from_xcoords(p.xcoords())
 
 
-def raising_operator(p: Pyramid) -> ExactMatrix:
-    """Raising partner e of the pyramid nilpotent f.
-
-    Each row is a single Jordan chain for f; placing the coefficient
-    k*(L - k) on the k-th reversed arrow of a length-L row makes
-    (e, [e, f], f) an sl_2-triple.
-    """
-    entries: dict[tuple[int, int], Fraction] = {}
-    for r in range(1, p.rows + 1):
-        chain = p.row_labels(r)[::-1]
-        length = len(chain)
-        for k in range(1, length):
-            entries[(chain[k - 1], chain[k])] = Fraction(k * (length - k))
-    return ExactMatrix(p.n, entries)
-
-
 def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
     """Exact check of the good-grading axioms for the pair (f, x).
 

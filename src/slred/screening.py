@@ -286,8 +286,19 @@ class PolyMatrix(SparseMatrix):
 
 
 def trace_pair(a: ExactMatrix, m: PolyMatrix) -> Poly:
-    """Trace-form pairing tr(a·m) of an exact matrix against a polynomial one."""
-    return Poly() + trace_form(a, m)
+    """Trace-form pairing tr(a·m) of an exact matrix against a polynomial one.
+
+    The products a_ik·m_ki are summed straight into one coefficient table.
+    """
+    m._require_same_size(a)
+    terms: dict[Monomial, Fraction] = {}
+    for (i, k), c in a.items():
+        p = m._e.get((k, i))
+        if p is not None:
+            for mono, d in p.terms.items():
+                v = c * d
+                terms[mono] = terms[mono] + v if mono in terms else v
+    return Poly._of(terms)
 
 
 def exp_nilpotent(m: PolyMatrix) -> PolyMatrix:
@@ -584,18 +595,28 @@ class ScreeningSet:
         }
 
 
-def screening_coeffs(
-    datum: Union[ReductionDatum, GoodPair], side: str = "target"
-) -> ScreeningSet:
-    """Classical screening coefficients of a reduction datum or a good pair.
+def _linear(coeffs: Iterable[Poly], kind: str) -> Poly:
+    """sum_j coeffs[j]·kind_j, with j counted from 1."""
+    total = Poly()
+    for j, c in enumerate(coeffs, start=1):
+        total = total + c * Poly.variable(kind, j)
+    return total
 
-    ``side="source"`` builds the coefficients of the finer nilpotent's
-    W-algebra (beta/gamma symbols over the omega splitting); ``"target"``
-    builds the coarser side (beta-hat/gamma-hat symbols).  For a good pair
-    the two sides coincide apart from the label.
+
+def screening_pair(
+    datum: Union[ReductionDatum, GoodPair]
+) -> tuple[ScreeningSet, ScreeningSet]:
+    """Source and target screening coefficients of a reduction datum or a good pair.
+
+    The source set holds the coefficients of the finer nilpotent's W-algebra
+    (beta/gamma symbols over the omega splitting), the target set those of
+    the coarser side (beta-hat/gamma-hat symbols).  Both are read off one
+    chart (Genra, Screening operators for W-algebras, 2017): the bigrading,
+    the chart and its generic element, the omega split, each (0,0) left
+    action and each conjugated unit ginv·E_i·g with its pairings against
+    the split's duals are computed once and shared.  For a good pair the
+    two sides coincide apart from the label.
     """
-    if side not in ("source", "target"):
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     if isinstance(datum, ReductionDatum):
         f1, f2, f_circ = datum.f_lam, datum.f_mu_tilde, datum.f_circ
         bi = BiGrading(
@@ -616,7 +637,8 @@ def screening_coeffs(
     ginv = _negate_coordinates(g)
 
     cases: list[str] = []
-    coeffs: list[Poly] = []
+    source: list[Poly] = []
+    target: list[Poly] = []
     for i in range(1, n):
         degree = tuple(bi.degree_of(Root(i, i + 1)))
         if degree not in _CASES:
@@ -629,42 +651,55 @@ def screening_coeffs(
             total = Poly()
             for root, p in left_action_coeffs(i, chart).items():
                 total = total + p * Poly.variable("beta", root)
-            coeffs.append(total)
+            source.append(total)
+            target.append(total)
             continue
 
         w = ginv * PolyMatrix.unit(n, i, i + 1) * g
         if degree == (1, 1):
-            coeffs.append(trace_pair(f1 if side == "source" else f2, w))
+            source.append(trace_pair(f1, w))
+            target.append(trace_pair(f2, w))
         elif degree == (0, 1):
-            if side == "source":
-                total = Poly()
-                for j, dual in enumerate(split.u_duals, start=1):
-                    total = total + trace_pair(dual, w) * Poly.variable("beta", j)
-            else:
-                total = trace_pair(f_circ, w)
-                for j in range(1, split.pairs + 1):
-                    total = total + trace_pair(split.u_duals[j - 1], w) * Poly.variable(
-                        "gamma-hat", j
-                    )
-            coeffs.append(total)
+            paired = [trace_pair(dual, w) for dual in split.u_duals]
+            source.append(_linear(paired, "beta"))
+            target.append(
+                trace_pair(f_circ, w) + _linear(paired[: split.pairs], "gamma-hat")
+            )
         else:  # (1, 0)
-            total = Poly()
-            for j in range(1, split.pairs + 1):
-                c = trace_pair(split.v_duals[j - 1], w)
-                if side == "source":
-                    total = total - c * Poly.variable("gamma", j)
-                else:
-                    total = total + c * Poly.variable("beta-hat", j)
-            coeffs.append(total)
+            paired = [trace_pair(dual, w) for dual in split.v_duals]
+            source.append(-_linear(paired, "gamma"))
+            target.append(_linear(paired, "beta-hat"))
 
-    return ScreeningSet(
-        n=n,
-        side=side,
-        cases=tuple(cases),
-        coefficients=tuple(coeffs),
-        chart_roots=chart.roots,
-        split=split,
+    return tuple(
+        ScreeningSet(
+            n=n,
+            side=side,
+            cases=tuple(cases),
+            coefficients=tuple(coeffs),
+            chart_roots=chart.roots,
+            split=split,
+        )
+        for side, coeffs in (("source", source), ("target", target))
     )
+
+
+#: One-entry memo [(datum, (source, target))] behind `screening_coeffs`, so
+#: that asking for both sides of one datum costs one `screening_pair`.  A
+#: `ReductionDatum` is unhashable, so the key is the datum's identity; the
+#: memo holds the datum itself, so that identity is never a reused id.
+_memo: list = []
+
+
+def screening_coeffs(
+    datum: Union[ReductionDatum, GoodPair], side: str = "target"
+) -> ScreeningSet:
+    """One side, ``"source"`` or ``"target"``, of `screening_pair`."""
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    if not _memo or _memo[0][0] is not datum:
+        _memo[:] = [(datum, screening_pair(datum))]
+    source, target = _memo[0][1]
+    return target if side == "target" else source
 
 
 # ----------------------------------------------------------------------

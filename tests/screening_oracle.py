@@ -7,26 +7,37 @@ variable of every monomial.  Those routines, and the logarithm and chart
 conjugations that only tests ever called, live on here unchanged.  They are
 independent of the Bernoulli-series route and are only ever compared
 against it.  So does the omega split that built its pairing matrix from
-trace_form(f1, bracket(u, v)) instead of the closed form of `slred.star`.
+trace_form(f1, bracket(u, v)) instead of the closed form of `slred.star`,
+and the two-pass `screening_coeffs`, which rebuilt the chart, the omega split
+and every left action once per side, with the `trace_pair` that summed
+`lie.trace_form` from the Fraction 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
 
 from slred.lie import ExactMatrix, Root, bracket, inverse, trace_form
+from slred.pyramids import GoodPair, grading_element_of
+from slred.reduction import ReductionDatum
 from slred.screening import (
+    _CASES,
     OmegaSplit,
     Poly,
     PolyMatrix,
+    ScreeningSet,
     UnipotentChart,
     _as_poly,
     _check_on_chart,
+    _negate_coordinates,
     _norm_var,
+    _omega_split,
     _positive_roots,
     _read_chart_coefficients,
+    left_action_coeffs,
 )
-from slred.star import kernel_on_basis
+from slred.star import BiGrading, bigrade, kernel_on_basis
 
 
 def log_unipotent(u: PolyMatrix) -> PolyMatrix:
@@ -185,4 +196,92 @@ def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpli
         v_basis=tuple(v_basis),
         v_duals=tuple(v_duals),
         ghost_constants=tuple(consts),
+    )
+
+
+def trace_pair(a: ExactMatrix, m: PolyMatrix) -> Poly:
+    """Trace-form pairing tr(a·m) of an exact matrix against a polynomial one."""
+    return Poly() + trace_form(a, m)
+
+
+def screening_coeffs(
+    datum: Union[ReductionDatum, GoodPair], side: str = "target"
+) -> ScreeningSet:
+    """Classical screening coefficients of a reduction datum or a good pair.
+
+    ``side="source"`` builds the coefficients of the finer nilpotent's
+    W-algebra (beta/gamma symbols over the omega splitting); ``"target"``
+    builds the coarser side (beta-hat/gamma-hat symbols).  For a good pair
+    the two sides coincide apart from the label.
+    """
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    if isinstance(datum, ReductionDatum):
+        f1, f2, f_circ = datum.f_lam, datum.f_mu_tilde, datum.f_circ
+        bi = BiGrading(
+            grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu)
+        )
+    elif isinstance(datum, GoodPair):
+        f1 = f2 = datum.f
+        f_circ = ExactMatrix.zero(datum.f.n)
+        bi = BiGrading(datum.x, datum.x)
+    else:
+        raise TypeError(f"expected a ReductionDatum or a GoodPair, got {type(datum)}")
+
+    n = f1.n
+    pieces = bigrade(bi)
+    chart = UnipotentChart(n, _positive_roots(pieces.get((0, 0))))
+    split = _omega_split(f1, f_circ, pieces)
+    g = chart.generic_element()
+    ginv = _negate_coordinates(g)
+
+    cases: list[str] = []
+    coeffs: list[Poly] = []
+    for i in range(1, n):
+        degree = tuple(bi.degree_of(Root(i, i + 1)))
+        if degree not in _CASES:
+            raise ValueError(
+                f"simple root {i} has bidegree {degree}; each grading must "
+                "put simple roots in degree 0 or 1"
+            )
+        cases.append(_CASES[degree])
+        if degree == (0, 0):
+            total = Poly()
+            for root, p in left_action_coeffs(i, chart).items():
+                total = total + p * Poly.variable("beta", root)
+            coeffs.append(total)
+            continue
+
+        w = ginv * PolyMatrix.unit(n, i, i + 1) * g
+        if degree == (1, 1):
+            coeffs.append(trace_pair(f1 if side == "source" else f2, w))
+        elif degree == (0, 1):
+            if side == "source":
+                total = Poly()
+                for j, dual in enumerate(split.u_duals, start=1):
+                    total = total + trace_pair(dual, w) * Poly.variable("beta", j)
+            else:
+                total = trace_pair(f_circ, w)
+                for j in range(1, split.pairs + 1):
+                    total = total + trace_pair(split.u_duals[j - 1], w) * Poly.variable(
+                        "gamma-hat", j
+                    )
+            coeffs.append(total)
+        else:  # (1, 0)
+            total = Poly()
+            for j in range(1, split.pairs + 1):
+                c = trace_pair(split.v_duals[j - 1], w)
+                if side == "source":
+                    total = total - c * Poly.variable("gamma", j)
+                else:
+                    total = total + c * Poly.variable("beta-hat", j)
+            coeffs.append(total)
+
+    return ScreeningSet(
+        n=n,
+        side=side,
+        cases=tuple(cases),
+        coefficients=tuple(coeffs),
+        chart_roots=chart.roots,
+        split=split,
     )

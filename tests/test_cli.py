@@ -356,3 +356,18 @@ def test_screenings_json_does_not_depend_on_the_hash_seed(argv):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0]
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # orbits 30 prints far more than a pipe holds, so the child is still
+    # writing when the reader goes away after the first line.
+    with subprocess.Popen(
+        [sys.executable, "-m", "slred", "orbits", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_source_env(),
+    ) as proc:
+        assert "nilpotent orbits of sl_30" in proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1

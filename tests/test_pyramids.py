@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pyramid_oracle import raising_operator
 from slred import pyramids
 from slred.lie import (
     ExactMatrix,
@@ -26,7 +27,6 @@ from slred.pyramids import (
     is_good_grading,
     left_aligned_offsets,
     nilpotent_from_pyramid,
-    raising_operator,
     render,
     right_aligned_offsets,
 )

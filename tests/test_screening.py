@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screening_oracle import g0_conjugate, log_unipotent
+from slred import screening
 from slred.lie import ExactMatrix, Root, bracket, trace_form
 from slred.orbits import Partition, box_move_witness, partitions_of
 from slred.pyramids import Pyramid, good_pair, left_aligned_offsets
@@ -492,6 +493,31 @@ class TestScreeningSetsForData:
                 assert kinds <= {"z", "gamma"}
 
 
+def test_both_sides_of_one_datum_share_one_chart(monkeypatch):
+    """One left action per (0,0) simple root and one chart exponential for
+    the source and the target together."""
+    monkeypatch.setattr(screening, "_memo", [])
+    counts = {"left": 0, "exp": 0}
+    left, exp = screening.left_action_coeffs, UnipotentChart.generic_element
+
+    def counted_left(i, chart):
+        counts["left"] += 1
+        return left(i, chart)
+
+    def counted_exp(chart):
+        counts["exp"] += 1
+        return exp(chart)
+
+    monkeypatch.setattr(screening, "left_action_coeffs", counted_left)
+    monkeypatch.setattr(UnipotentChart, "generic_element", counted_exp)
+    datum = _datum((5, 3, 3, 3), (5, 4, 3, 2))
+    source = screening_coeffs(datum, "source")
+    target = screening_coeffs(datum, "target")
+    assert source.cases == target.cases
+    assert counts == {"left": source.cases.count("I_00"), "exp": 1}
+    assert counts["left"] > 0
+
+
 class TestOmegaSplit:
     @pytest.mark.parametrize(
         "lam, mu",
@@ -562,8 +588,8 @@ class TestFourierCompare:
         for case, sign in zip(source.cases, fourier_signs(source, target)):
             assert sign in (0, _EXPECTED_SIGN[case]), case
 
-    # The Fourier sweep through N <= 10: 229 box-move pairs in all.
-    @pytest.mark.parametrize("n", range(2, 11))
+    # The Fourier sweep through N <= 12: 518 box-move pairs in all.
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_every_box_move_matches(self, n):
         for lam, mu in _box_moves(n):
             datum = build_reduction(lam, mu)

@@ -1,7 +1,7 @@
 """Differential tests: the Bernoulli-series translation vector fields, the
-reflected chart inverse, the lean `Poly.substitute` and the closed-form
-omega split of `slred.screening` against the reference routines in
-`screening_oracle`."""
+reflected chart inverse, the lean `Poly.substitute`, the closed-form omega
+split and the one-pass `screening_pair` of `slred.screening` against the
+reference routines in `screening_oracle`."""
 
 from fractions import Fraction
 
@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import screening_oracle
 from slred.lie import ExactMatrix
-from slred.orbits import box_move_witness, partitions_of
-from slred.pyramids import grading_element_of
+from slred import screening
+from slred.orbits import Partition, box_move_witness, partitions_of
+from slred.pyramids import Pyramid, good_pair, grading_element_of, left_aligned_offsets
 from slred.reduction import build_reduction
 from slred.screening import (
     Poly,
@@ -20,6 +21,8 @@ from slred.screening import (
     exp_nilpotent,
     left_action_of,
     right_action_of,
+    screening_coeffs,
+    screening_pair,
 )
 from slred.star import BiGrading, bigrade
 
@@ -153,3 +156,47 @@ def test_omega_split_matches_the_trace_form_route_on_every_box_move():
                 paired += split.pairs > 0
     assert checked == 146
     assert paired > 0
+
+
+def _same_sets(new, old):
+    assert new.to_json() == old.to_json()
+    assert new.cases == old.cases
+    assert new.split == old.split
+    assert new.chart_roots == old.chart_roots
+
+
+def _matches_the_two_pass_route(datum, pair):
+    source, target = pair
+    _same_sets(source, screening_oracle.screening_coeffs(datum, "source"))
+    _same_sets(target, screening_oracle.screening_coeffs(datum, "target"))
+
+
+def test_screening_pair_matches_the_two_pass_route_on_every_box_move():
+    checked = 0
+    for n in range(2, 9):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                if lam != mu and box_move_witness(lam, mu) is not None:
+                    datum = build_reduction(lam, mu)
+                    _matches_the_two_pass_route(datum, screening_pair(datum))
+                    checked += 1
+    assert checked == 91
+
+
+def test_screening_pair_matches_the_two_pass_route_on_good_pairs():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            pair = good_pair(Pyramid(lam, left_aligned_offsets(lam)))
+            _matches_the_two_pass_route(pair, screening_pair(pair))
+
+
+def test_one_entry_memo_returns_each_datum_its_own_sets(monkeypatch):
+    monkeypatch.setattr(screening, "_memo", [])
+    a = build_reduction(Partition((3, 2)), Partition((4, 1)))
+    b = build_reduction(Partition((2, 2, 1)), Partition((3, 1, 1)))
+    for datum in (a, b, a):
+        pair = (screening_coeffs(datum, "source"), screening_coeffs(datum, "target"))
+        _matches_the_two_pass_route(datum, pair)
+        assert len(screening._memo) == 1
+        assert screening._memo[0][0] is datum

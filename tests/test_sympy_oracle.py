@@ -1,7 +1,7 @@
 """Differential tests of the sparse matrix core against sympy (tests only).
 
 `PolyMatrix` reuses `SparseMatrix`'s arithmetic, written for any ring whose
-zero is falsy, and `trace_pair` reuses `trace_form`.  Here both are compared
+zero is falsy, and `trace_pair` sums tr(a·m) into one `Poly`.  Here both are compared
 with `sympy.Matrix` over polynomials in chart variables, and `jordan_type`
 on nilpotents that are not 0/1 partial permutations (so its rank route
 runs) is compared with sympy's Jordan form.
