@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
@@ -160,14 +158,6 @@ class ExactMatrix(SparseMatrix):
 
     _coerce = staticmethod(_rat)
 
-    @classmethod
-    def root_vector(cls, n: int, root: Root) -> "ExactMatrix":
-        return cls.unit(n, root.i, root.j)
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[RationalLike]) -> "ExactMatrix":
-        return cls(len(diag), {(i + 1, i + 1): v for i, v in enumerate(diag)})
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._e.get((i, j), _ZERO)
 
@@ -193,7 +183,7 @@ class ExactMatrix(SparseMatrix):
         return f"ExactMatrix({self.n}: {terms or '0'})"
 
     # ------------------------------------------------------------------
-    # rank / inversion
+    # rank
     # ------------------------------------------------------------------
 
     def rank(self) -> int:
@@ -201,9 +191,6 @@ class ExactMatrix(SparseMatrix):
         for (i, j), v in self._e.items():
             rows.setdefault(i, {})[j] = v
         return rank_of_rows(list(rows.values()))
-
-    def inverse(self) -> "ExactMatrix":
-        return inverse(self)
 
     # ------------------------------------------------------------------
     # serialization
@@ -214,10 +201,6 @@ class ExactMatrix(SparseMatrix):
             "n": self.n,
             "entries": [[i, j, str(v)] for (i, j), v in self.items()],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExactMatrix":
-        return cls(doc["n"], [((i, j), Fraction(v)) for i, j, v in doc["entries"]])
 
 
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -497,9 +480,6 @@ class GradingElement:
 
     def of_root(self, root: Root) -> Fraction:
         return self.diag[root.i - 1] - self.diag[root.j - 1]
-
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix.diagonal(self.diag)
 
     def is_even(self) -> bool:
         return self.levels is not None

@@ -56,12 +56,6 @@ class Partition:
             out.append(acc)
         return tuple(out)
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 

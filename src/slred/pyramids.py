@@ -80,25 +80,9 @@ class Pyramid:
     def rows(self) -> int:
         return len(self.partition)
 
-    def boxes(self) -> list[Box]:
-        return sorted(self._boxes(), key=lambda box: (box[1], box[0]))
-
-    def label_of(self, x: int, row: int) -> int:
-        return self.labels[(x, row)]
-
     def xcoords(self) -> list[int]:
         """x-coordinate of each box, indexed by label (position k = label k+1)."""
         return [self._by_label[k][0] for k in range(1, self.n + 1)]
-
-    def is_canonical(self) -> bool:
-        order = self._canonical_order(self._boxes())
-        return all(self.labels[box] == k + 1 for k, box in enumerate(order))
-
-    def row_labels(self, row: int) -> list[int]:
-        """Labels of one row, left to right."""
-        right = self.row_offset[row - 1]
-        length = self.partition.part(row)
-        return [self.labels[(x, row)] for x in range(right - length + 1, right + 1)]
 
     def __eq__(self, other) -> bool:
         return (

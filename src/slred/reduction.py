@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence, Union
 
-from .lie import ExactMatrix, RationalLike, inverse, jordan_type
+from .lie import ExactMatrix, jordan_type
 from .orbits import Partition, box_move_witness, reduction_path
 from .pyramids import (
     Pyramid,
@@ -38,7 +38,21 @@ from .pyramids import (
     grading_element_of,
     nilpotent_from_pyramid,
 )
-from .star import BiGrading, StarCertificate, check_star
+from .star import BiGrading, StarCertificate, check_star, verify_conjugation
+
+__all__ = [
+    "AdjacencyData",
+    "CaseOneDatum",
+    "EmbeddedDatum",
+    "ReductionDatum",
+    "adjacency_data",
+    "build_case_one",
+    "build_chain",
+    "build_reduction",
+    "conjugator_height_two",
+    "embed_case_two",
+    "verify_conjugation",
+]
 
 PartitionLike = Union[Partition, Sequence[int]]
 
@@ -119,49 +133,30 @@ def build_case_one(a: int, b: int, s: int) -> CaseOneDatum:
     return CaseOneDatum(a, b, s, lam, mu, f_lam, f_circ, ghosts)
 
 
-def conjugator_height_two(
-    a: int,
-    b: int,
-    unit_a: RationalLike = _ONE,
-    unit_b: RationalLike = _ONE,
-) -> ExactMatrix:
+def conjugator_height_two(a: int, b: int) -> ExactMatrix:
     """Block-diagonal conjugator candidate for the two-row move [a,b] -> [a+1,b-1].
 
-    Returns diag(ua*I_{r+1}, A_1, ..., A_{b-1}, b*ua) with r = a - b and
+    Returns diag(I_{r+1}, A_1, ..., A_{b-1}, b) with r = a - b and
 
-        A_t = [[(b - t)*ub, t*ua], [-ub, ua]]
+        A_t = [[b - t, t], [-1, 1]]
 
     on the coordinate pair (r + 2t, r + 2t + 1); each block has
-    determinant b*ua*ub, so the whole matrix has determinant
-    ua^(a+1) * ub^(b-1) * b^b.  For b = 1 there are no blocks and the
-    matrix degenerates to ua times the identity.  The candidate is
-    returned unverified; certify it with verify_conjugation.
+    determinant b, so the whole matrix has determinant b^b.  For b = 1
+    there are no blocks and the matrix is the identity.  The candidate is
+    returned unverified; check_star certifies it with verify_conjugation.
     """
     if not (a >= b >= 1):
         raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
-    ua, ub = Fraction(unit_a), Fraction(unit_b)
-    if ua == 0 or ub == 0:
-        raise ValueError("units must be nonzero")
     r, n = a - b, a + b
-    entries: dict[tuple[int, int], Fraction] = {(k, k): ua for k in range(1, r + 2)}
+    entries = {(k, k): 1 for k in range(1, r + 2)}
     for t in range(1, b):
         p = r + 2 * t
-        entries[(p, p)] = (b - t) * ub
-        entries[(p, p + 1)] = t * ua
-        entries[(p + 1, p)] = -ub
-        entries[(p + 1, p + 1)] = ua
-    entries[(n, n)] = b * ua
+        entries[(p, p)] = b - t
+        entries[(p, p + 1)] = t
+        entries[(p + 1, p)] = -1
+        entries[(p + 1, p + 1)] = 1
+    entries[(n, n)] = b
     return ExactMatrix(n, entries)
-
-
-def verify_conjugation(
-    g: ExactMatrix, f_tilde: ExactMatrix, f_std: ExactMatrix
-) -> bool:
-    """True iff inverse(g) * f_tilde * g equals f_std exactly.
-
-    Raises ValueError when g is singular.
-    """
-    return inverse(g) * f_tilde * g == f_std
 
 
 # --------------------------------------------------------------------------
@@ -356,23 +351,21 @@ def _build_reduction(
     bi = BiGrading(
         grading_element_of(pre.source), grading_element_of(pre.target)
     )
-    conjugator = pre.conjugator_candidate
-    if not verify_conjugation(conjugator, pre.f_mu_tilde, pre.f_mu_std):
-        raise _fail(
-            "conjugation", "the candidate does not carry f_mu_std to f_lam + f_circ"
-        )
-    # a conjugator inside G_0(x2) carries goodness as well as Jordan type
-    if not bi.x2.commutes_with(conjugator):
-        raise _fail("conjugator degree", "the verified conjugator leaves G_0(x2)")
     if tuple(jordan_type(pre.f_mu_std)) != mu.parts:
         raise _fail(
             "jordan type of f_lam + f_circ",
             f"{jordan_type(pre.f_mu_std)} != {mu}",
         )
 
-    certificate = check_star(
-        pre.f_lam, pre.f_mu_tilde, bi, witness=(conjugator, pre.f_mu_std)
-    )
+    # the witness check inside check_star is the datum's one conjugation test:
+    # a conjugator inside G_0(x2) carries goodness as well as Jordan type
+    conjugator = pre.conjugator_candidate
+    try:
+        certificate = check_star(
+            pre.f_lam, pre.f_mu_tilde, bi, witness=(conjugator, pre.f_mu_std)
+        )
+    except ValueError as exc:
+        raise _fail("conjugation", str(exc)) from exc
     if not certificate.passes:
         raise _fail("compatibility certificate", str(certificate.violations))
     if certificate.ghost_basis != pre.ghost_basis:

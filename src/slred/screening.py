@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Union
 from .lie import ExactMatrix, Root, SparseMatrix, bracket, inverse, trace_form
 from .pyramids import GoodPair, grading_element_of
 from .reduction import ReductionDatum
-from .star import BiGrading, bigrade, kernel_on_basis, omega_rows
+from .star import BiGrading, bigrade, kernel_on_basis
 
 # ----------------------------------------------------------------------
 # polynomials in tagged commuting variables
@@ -112,14 +112,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.terms.get((), Fraction(0))
-
-    def variables(self) -> set:
-        return {var for mono in self.terms for var, _ in mono}
-
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
@@ -195,23 +187,6 @@ class Poly:
             for m, d in factor.terms.items():
                 m = _mono_mul(m, kept)
                 terms[m] = terms[m] + d if m in terms else d
-        return Poly._of(terms)
-
-    def derivative(self, var: Var) -> "Poly":
-        var = _norm_var(*var)
-        terms: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            new = tuple(sorted(exps.items(), key=_item_key))
-            c = c * e
-            terms[new] = terms[new] + c if new in terms else c
         return Poly._of(terms)
 
     def to_json(self) -> list:
@@ -351,9 +326,6 @@ class UnipotentChart:
     def generic_element(self) -> PolyMatrix:
         return exp_nilpotent(self.coordinate_matrix())
 
-    def generic_inverse(self) -> PolyMatrix:
-        return _negate_coordinates(self.generic_element())
-
 
 def _negate_coordinates(m: PolyMatrix) -> PolyMatrix:
     """m with every chart coordinate z replaced by -z.
@@ -457,19 +429,17 @@ def left_action_coeffs(i: int, chart: UnipotentChart) -> dict[Root, Poly]:
 
 @dataclass(frozen=True)
 class OmegaSplit:
-    """Bases splitting the (0,1) cell along the kernel of the finer nilpotent.
+    """The splitting of the (0,1) cell along the kernel of the finer nilpotent.
 
-    ``u_basis`` lists the paired block first (normalized so the step
-    nilpotent pairs to zero against it) and then the kernel vectors; the
-    dual tuples realize the trace-form dual bases.  ``ghost_constants``
-    records the pairing of the step nilpotent against each kernel vector.
+    The cell's u-basis lists the paired block first (normalized so the step
+    nilpotent pairs to zero against it) and then the kernel vectors;
+    ``u_duals`` is its trace-form dual basis, and ``v_duals`` holds [f1, u]
+    for each u of the paired block.  ``ghost_constants`` records the
+    pairing of the step nilpotent against each kernel vector.
     """
 
     pairs: int
-    total: int
-    u_basis: tuple[ExactMatrix, ...]
     u_duals: tuple[ExactMatrix, ...]
-    v_basis: tuple[ExactMatrix, ...]
     v_duals: tuple[ExactMatrix, ...]
     ghost_constants: tuple[Fraction, ...]
 
@@ -485,12 +455,9 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpl
     n = f1.n
     roots01 = _positive_roots(pieces.get((0, 1)))
     roots10 = _positive_roots(pieces.get((1, 0)))
-    basis01 = [ExactMatrix.unit(n, r.i, r.j) for r in roots01]
-    basis10 = [ExactMatrix.unit(n, r.i, r.j) for r in roots10]
 
     kernel, pivots = kernel_on_basis(f1, roots01)
-    free = [k for k in range(len(basis01)) if k not in set(pivots)]
-    complement = [basis01[p] for p in pivots]
+    complement = [ExactMatrix.unit(n, *roots01[p]) for p in pivots]
 
     consts = [trace_form(f_circ, g) for g in kernel]
     anchor = next((l for l, c in enumerate(consts) if c), None)
@@ -501,61 +468,40 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpl
                 complement[idx] = u - kernel[anchor] * (c / consts[anchor])
 
     n_pairs = len(complement)
-    if len(basis10) != n_pairs:
+    if len(roots10) != n_pairs:
         raise ValueError(
             f"pairing block is not square: {n_pairs} complement vectors "
-            f"against {len(basis10)} vectors in the (1,0) cell"
+            f"against {len(roots10)} vectors in the (1,0) cell"
         )
 
-    v_basis: list[ExactMatrix] = []
-    if n_pairs:
-        # Kernel vectors pair to zero, (f1, [k, v]) = ([f1, k], v) = 0, so
-        # the anchor correction leaves the pivot roots' closed form intact.
-        rows = omega_rows(f1, [roots01[p] for p in pivots], roots10)
-        omega = ExactMatrix(
-            n_pairs,
-            {(p, q): v for p, row in enumerate(rows, 1) for q, v in enumerate(row, 1)},
-        )
-        x = inverse(omega)
-        for j in range(n_pairs):
-            v = ExactMatrix.zero(f1.n)
-            for q in range(n_pairs):
-                c = x.entry(q + 1, j + 1)
-                if c:
-                    v = v + basis10[q] * c
-            v_basis.append(v)
-
-    total = n_pairs + len(kernel)
     u_basis = complement + kernel
-    u_duals: list[ExactMatrix] = []
-    if total:
-        cols = list(pivots) + free
-        coeffs = ExactMatrix(
-            total,
+    pivot_set = set(pivots)
+    roots = [roots01[k] for k in pivots] + [
+        r for k, r in enumerate(roots01) if k not in pivot_set
+    ]
+    u_duals = []
+    if u_basis:
+        # Row r holds the coordinates of u_r on the cell's roots, pivots
+        # first.  tr(E_qp u) = u[p, q], so row j of the inverse transpose
+        # gives the dual of u_j as coefficients of the transposed root vectors.
+        table = ExactMatrix(
+            len(roots),
             {
-                (r + 1, c + 1): dict(u_basis[r].items()).get(tuple(roots01[cols[c]]), 0)
-                for r in range(total)
-                for c in range(total)
+                (r, c): u.entry(*root)
+                for r, u in enumerate(u_basis, 1)
+                for c, root in enumerate(roots, 1)
             },
         )
-        dual_rows = inverse(coeffs.transpose())
-        for j in range(total):
-            d = ExactMatrix.zero(f1.n)
-            for c in range(total):
-                value = dual_rows.entry(j + 1, c + 1)
-                if value:
-                    p, q = roots01[cols[c]]
-                    d = d + ExactMatrix.unit(f1.n, q, p) * value
-            u_duals.append(d)
+        rows = inverse(table.transpose())
+        u_duals = [
+            ExactMatrix(n, {(q, p): rows.entry(j, c) for c, (p, q) in enumerate(roots, 1)})
+            for j in range(1, len(roots) + 1)
+        ]
 
-    v_duals = [bracket(f1, u) for u in complement]
     return OmegaSplit(
         pairs=n_pairs,
-        total=total,
-        u_basis=tuple(u_basis),
         u_duals=tuple(u_duals),
-        v_basis=tuple(v_basis),
-        v_duals=tuple(v_duals),
+        v_duals=tuple(bracket(f1, u) for u in complement),
         ghost_constants=tuple(consts),
     )
 

@@ -27,6 +27,7 @@ from .lie import (
     Root,
     ad_rows,
     all_roots,
+    inverse,
     nullspace_of_rows,
     rank_of_rows,
     trace_form,
@@ -44,6 +45,7 @@ __all__ = [
     "check_star",
     "kernel_on_basis",
     "omega_rows",
+    "verify_conjugation",
 ]
 
 
@@ -229,26 +231,31 @@ class StarCertificate:
         }
 
 
+def verify_conjugation(
+    g: ExactMatrix, f_tilde: ExactMatrix, f_std: ExactMatrix
+) -> bool:
+    """True iff inverse(g) * f_tilde * g equals f_std exactly.
+
+    Raises ValueError when g is singular.
+    """
+    return inverse(g) * f_tilde * g == f_std
+
+
 def _witnessed_representative(
     witness: tuple[ExactMatrix, ExactMatrix], f2: ExactMatrix, bi: BiGrading
 ) -> ExactMatrix:
     """Check a witness (g, f_std) and return f_std.
 
-    The witness must satisfy f2 g = g f_std with g nonsingular and of
-    x2-degree 0.  Then Ad(g) preserves the x2 grading and carries f_std to
-    f2, so the two share their Jordan type and their x2-goodness.
+    The witness must satisfy g^-1 f2 g = f_std (verify_conjugation, which
+    raises on a singular g) with g of x2-degree 0.  Then Ad(g) preserves
+    the x2 grading and carries f_std to f2, so the two share their Jordan
+    type and their x2-goodness.
     """
     g, f_std = witness
-    if f2 * g != g * f_std:
+    if not verify_conjugation(g, f2, f_std):
         raise ValueError("witness does not conjugate f_std to f2")
     if not bi.x2.commutes_with(g):
         raise ValueError("witness conjugator has nonzero x2-degree")
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in g.items():
-        rows.setdefault(i, {})[j - 1] = v
-    kernel, _free = nullspace_of_rows(list(rows.values()), g.n)
-    if kernel:
-        raise ValueError("witness conjugator is singular")
     return f_std
 
 

@@ -10,6 +10,11 @@ ever compared against it.
 also tested the surjective axioms (its nilpotency guard now resolves to the
 dense `jordan_type` here); the package tests injectivity alone, and this
 two-sided version is the oracle for that duality.
+
+`witnessed_representative` is the certificate's witness check as it stood
+before the package tested each witness once through `verify_conjugation`:
+it tests f2 g = g f_std, the x2-degree of g, and the nonsingularity of g by
+a kernel of its own, here the dense one.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from slred.lie import (
     ad_rank,
     root_decomposition,
 )
+from slred.star import BiGrading
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -212,3 +218,23 @@ def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
             if ad_rank(f, units) != len(roots):
                 return False
     return True
+
+
+def witnessed_representative(
+    witness: tuple[ExactMatrix, ExactMatrix], f2: ExactMatrix, bi: BiGrading
+) -> ExactMatrix:
+    """Check a witness (g, f_std) and return f_std.
+
+    The witness must satisfy f2 g = g f_std with g nonsingular and of
+    x2-degree 0.  Then Ad(g) preserves the x2 grading and carries f_std to
+    f2, so the two share their Jordan type and their x2-goodness.
+    """
+    g, f_std = witness
+    if f2 * g != g * f_std:
+        raise ValueError("witness does not conjugate f_std to f2")
+    if not bi.x2.commutes_with(g):
+        raise ValueError("witness conjugator has nonzero x2-degree")
+    kernel, _free = nullspace_of_rows(dense_rows(g), g.n)
+    if kernel:
+        raise ValueError("witness conjugator is singular")
+    return f_std

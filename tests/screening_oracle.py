@@ -10,11 +10,15 @@ against it.  So does the omega split that built its pairing matrix from
 trace_form(f1, bracket(u, v)) instead of the closed form of `slred.star`,
 and the two-pass `screening_coeffs`, which rebuilt the chart, the omega split
 and every left action once per side, with the `trace_pair` that summed
-`lie.trace_form` from the Fraction 0.
+`lie.trace_form` from the Fraction 0.  The oracle split keeps all seven
+fields of the package's former split record, among them the u- and v-bases
+that the package's duals are dual to.  The chart inverse and the polynomial
+derivative, which only tests ever called, live here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -23,13 +27,14 @@ from slred.pyramids import GoodPair, grading_element_of
 from slred.reduction import ReductionDatum
 from slred.screening import (
     _CASES,
-    OmegaSplit,
+    Monomial,
     Poly,
     PolyMatrix,
     ScreeningSet,
     UnipotentChart,
     _as_poly,
     _check_on_chart,
+    _item_key,
     _negate_coordinates,
     _norm_var,
     _omega_split,
@@ -38,6 +43,28 @@ from slred.screening import (
     left_action_coeffs,
 )
 from slred.star import BiGrading, bigrade, kernel_on_basis
+
+
+def generic_inverse(chart: UnipotentChart) -> PolyMatrix:
+    return _negate_coordinates(chart.generic_element())
+
+
+def derivative(self: Poly, var) -> Poly:
+    var = _norm_var(*var)
+    terms: dict[Monomial, Fraction] = {}
+    for mono, c in self.terms.items():
+        exps = dict(mono)
+        e = exps.get(var)
+        if not e:
+            continue
+        if e == 1:
+            del exps[var]
+        else:
+            exps[var] = e - 1
+        new = tuple(sorted(exps.items(), key=_item_key))
+        c = c * e
+        terms[new] = terms[new] + c if new in terms else c
+    return Poly._of(terms)
 
 
 def log_unipotent(u: PolyMatrix) -> PolyMatrix:
@@ -95,7 +122,7 @@ def conjugate_by_chart(w: ExactMatrix, chart: UnipotentChart) -> PolyMatrix:
     """g^{-1}·w·g for the generic chart element g."""
     if w.n != chart.n:
         raise ValueError(f"size mismatch: {w.n} vs chart over sl_{chart.n}")
-    return chart.generic_inverse() * PolyMatrix.from_exact(w) * chart.generic_element()
+    return generic_inverse(chart) * PolyMatrix.from_exact(w) * chart.generic_element()
 
 
 def g0_conjugate(i: int, chart0: UnipotentChart) -> PolyMatrix:
@@ -118,7 +145,25 @@ def substitute(self: Poly, mapping: dict) -> Poly:
     return out
 
 
-def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSplit:
+@dataclass(frozen=True)
+class OracleSplit:
+    """The omega split with every basis it was built from.
+
+    ``u_basis`` lists the paired block first and then the kernel vectors,
+    ``v_basis`` the (1,0) vectors omega-dual to the paired block; the dual
+    tuples realize the trace-form dual bases.
+    """
+
+    pairs: int
+    total: int
+    u_basis: tuple[ExactMatrix, ...]
+    u_duals: tuple[ExactMatrix, ...]
+    v_basis: tuple[ExactMatrix, ...]
+    v_duals: tuple[ExactMatrix, ...]
+    ghost_constants: tuple[Fraction, ...]
+
+
+def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OracleSplit:
     """The omega split with omega built as trace_form(f1, bracket(u, v))."""
     n = f1.n
     roots01 = _positive_roots(pieces.get((0, 1)))
@@ -188,7 +233,7 @@ def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpli
             u_duals.append(d)
 
     v_duals = [bracket(f1, u) for u in complement]
-    return OmegaSplit(
+    return OracleSplit(
         pairs=n_pairs,
         total=total,
         u_basis=tuple(u_basis),
@@ -197,6 +242,14 @@ def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSpli
         v_duals=tuple(v_duals),
         ghost_constants=tuple(consts),
     )
+
+
+def omega_split_of(datum: ReductionDatum) -> OracleSplit:
+    """The oracle split of a reduction datum's bigrading."""
+    pieces = bigrade(
+        BiGrading(grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu))
+    )
+    return omega_split(datum.f_lam, datum.f_circ, pieces)
 
 
 def trace_pair(a: ExactMatrix, m: PolyMatrix) -> Poly:

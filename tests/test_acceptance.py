@@ -11,7 +11,8 @@ checklist even on a fully green run.
 
 import time
 
-from slred.lie import ExactMatrix, Root, bracket, jordan_type
+from screening_oracle import derivative
+from slred.lie import ExactMatrix, bracket, jordan_type
 from slred.orbits import (
     Partition,
     box_move_witness,
@@ -178,7 +179,7 @@ def test_criterion_05_conjugator_family_resolves(capsys):
     _emit(
         capsys, 5, ok,
         "rectangular a=b<=4 verified exactly by the (b-1)-block variant "
-        f"diag(u_a I, A_1..A_(b-1), b u_a); all {len(two_row)} two-row pairs "
+        f"diag(I, A_1..A_(b-1), b); all {len(two_row)} two-row pairs "
         "N<=8 conjugation-certified, so the a>b fallback is never needed",
     )
 
@@ -186,7 +187,7 @@ def test_criterion_05_conjugator_family_resolves(capsys):
 def _apply_derivation(coeffs: dict, poly: Poly, chart: UnipotentChart) -> Poly:
     out = Poly()
     for beta in chart.roots:
-        out = out + coeffs[beta] * poly.derivative(("z", beta))
+        out = out + coeffs[beta] * derivative(poly, ("z", beta))
     return out
 
 
@@ -204,7 +205,7 @@ def test_criterion_06_left_actions_reverse_brackets(capsys):
             n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         )
         gens = {
-            i: ExactMatrix.root_vector(n, Root(i, i + 1)) for i in range(1, n)
+            i: ExactMatrix.unit(n, i, i + 1) for i in range(1, n)
         }
         lefts = {i: left_action_coeffs(i, chart) for i in range(1, n)}
         rights = {i: right_action_of(gens[i], chart) for i in range(1, n)}

@@ -295,9 +295,12 @@ class TestExitCodes:
         assert info.value.code == 2
 
     def test_json_and_render_flags_conflict(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["render", "2,1", "--json", "--ascii"])
-        assert info.value.code == 2
+        for verb in (["render", "2,1"], ["reduce", "2,2", "3,1"]):
+            for flags in (["--json", "--ascii"], ["--json", "--tikz"], ["--ascii", "--tikz"]):
+                with pytest.raises(SystemExit) as info:
+                    main(verb + flags)
+                assert info.value.code == 2
+                assert "not allowed with" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv", [("adjacent", "1,0,1", "2"), ("render", "0"), ("reduce", "2,0", "2")]

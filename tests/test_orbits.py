@@ -78,7 +78,6 @@ def test_partition_counts():
     assert lam.part(2) == 2
     assert lam.part(9) == 0
     assert lam.partial_sums() == (4, 6, 8, 9)
-    assert lam.multiplicities() == {4: 1, 2: 2, 1: 1}
 
 
 def test_partitions_of_reverse_lex():

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slred import cli, orbits, reduction
+from slred import cli, orbits, reduction, star
 from slred.lie import ExactMatrix, bracket, jordan_type, trace_form
-from slred.orbits import Partition, covers_of, partitions_of
+from slred.orbits import Partition, box_moves_from, covers_of, partitions_of, transpose
 from slred.reduction import (
     AdjacencyData,
     adjacency_data,
@@ -157,14 +157,12 @@ def test_conjugator_three_two():
 
 
 def test_conjugator_single_row_is_scalar():
-    g = conjugator_height_two(4, 1, unit_a=F(3, 7))
-    assert g == ExactMatrix(5, {(k, k): F(3, 7) for k in range(1, 6)})
+    assert conjugator_height_two(4, 1) == ExactMatrix.identity(5)
 
 
 def test_conjugator_block_determinants():
     a, b = 5, 3
-    ua, ub = F(2), F(1, 3)
-    g = conjugator_height_two(a, b, ua, ub)
+    g = conjugator_height_two(a, b)
     r = a - b
     entries = dict(g.items())
     for t in range(1, b):
@@ -173,14 +171,14 @@ def test_conjugator_block_determinants():
             entries[(p, p)] * entries[(p + 1, p + 1)]
             - entries[(p, p + 1)] * entries[(p + 1, p)]
         )
-        assert det == b * ua * ub
+        assert det == b
 
 
 def test_conjugator_rejects_bad_input():
     with pytest.raises(ValueError):
         conjugator_height_two(2, 3)
     with pytest.raises(ValueError):
-        conjugator_height_two(2, 2, unit_a=0)
+        conjugator_height_two(0, 0)
 
 
 def test_verify_conjugation_identity():
@@ -208,10 +206,15 @@ def test_conjugator_moves_representative_three_two():
 
 @pytest.mark.parametrize("a, b", [(2, 2), (4, 2), (4, 3), (5, 5)])
 def test_conjugator_works_for_every_unit_choice(a, b):
+    """A unit choice (ua, ub) scales the conjugator's columns: by ub on the
+    first coordinate of each 2 x 2 block and by ua elsewhere.  That diagonal
+    commutes with f_std, so every choice still conjugates."""
     datum = build_reduction([a, b], [a + 1, b - 1] if b > 1 else [a + 1])
+    g, n = conjugator_height_two(a, b), a + b
+    firsts = {a - b + 2 * t for t in range(1, b)}
     for ua, ub in [(F(1), F(2)), (F(-1), F(1, 2)), (F(3, 5), F(7))]:
-        g = conjugator_height_two(a, b, ua, ub)
-        assert verify_conjugation(g, datum.f_mu_tilde, datum.f_mu_std)
+        units = ExactMatrix(n, {(k, k): ub if k in firsts else ua for k in range(1, n + 1)})
+        assert verify_conjugation(g * units, datum.f_mu_tilde, datum.f_mu_std)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +271,7 @@ def fresh_cache():
 
 
 def test_failed_conjugation_is_an_error(monkeypatch, capsys, fresh_cache):
-    monkeypatch.setattr(reduction, "verify_conjugation", lambda g, f_tilde, f_std: False)
+    monkeypatch.setattr(star, "verify_conjugation", lambda g, f_tilde, f_std: False)
     with pytest.raises(RuntimeError, match="failed at conjugation:"):
         build_reduction([3, 2], [4, 1])
     assert cli.main(["reduce", "3,2", "4,1"]) == 1
@@ -288,11 +291,42 @@ def test_conjugator_outside_g0_is_an_error(monkeypatch, capsys, fresh_cache):
         return dataclasses.replace(pre, conjugator_candidate=g)
 
     monkeypatch.setattr(reduction, "embed_case_two", embed)
-    with pytest.raises(RuntimeError, match="failed at conjugator degree:"):
+    message = "failed at conjugation: witness conjugator has nonzero x2-degree"
+    with pytest.raises(RuntimeError, match=message):
         build_reduction([3, 2], [4, 1])
     assert sheared == [True]
     assert cli.main(["reduce", "3,2", "4,1"]) == 1
-    assert "failed at conjugator degree:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _counted(monkeypatch, module, name):
+    """Record each call of module.name from every slred module bound to it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("slred") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_one_datum_checks_its_conjugator_once(monkeypatch, fresh_cache):
+    """One verify_conjugation with its one inverse, and one kernel: that of
+    ad f1 on the (0,1) cell.  The witness check has no elimination of its own."""
+    calls = {
+        name: _counted(monkeypatch, star, name)
+        for name in ("verify_conjugation", "inverse", "nullspace_of_rows")
+    }
+    build_reduction([3, 3, 3], [4, 3, 2])
+    assert {name: len(c) for name, c in calls.items()} == {
+        "verify_conjugation": 1,
+        "inverse": 1,
+        "nullspace_of_rows": 1,
+    }
 
 
 def test_one_datum_computes_one_jordan_type(monkeypatch, fresh_cache):
@@ -400,6 +434,23 @@ def test_every_small_move_builds_verified(lam, mu):
     for one in datum.ghost_basis:
         for other in datum.ghost_basis:
             assert bracket(one, other).is_zero()
+
+
+def test_ghost_count_is_half_the_orbit_dimension_gap():
+    """2 * #ghosts = dim O_mu - dim O_lam, with dim O_lam = N^2 - sum of the
+    squared parts of the transposed partition."""
+
+    def dim(p):
+        return p.n**2 - sum(c * c for c in transpose(p).parts)
+
+    checked = 0
+    for n in range(2, 13):
+        for lam in partitions_of(n):
+            for mu, _rows in box_moves_from(lam):
+                datum = build_reduction(lam, mu)
+                assert 2 * len(datum.ghost_basis) == dim(mu) - dim(lam), (lam, mu)
+                checked += 1
+    assert checked == 518
 
 
 def test_every_n13_move_builds_verified():

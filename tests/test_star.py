@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+from pyramid_oracle import row_labels
 from slred.lie import (
     ExactMatrix,
     GradingElement,
@@ -16,7 +18,7 @@ from slred.lie import (
     rank_of_rows,
     trace_form,
 )
-from slred.orbits import Partition, dominance_leq
+from slred.orbits import Partition, box_moves_from, dominance_leq, partitions_of
 from slred.pyramids import (
     Pyramid,
     align_for_theorem,
@@ -115,8 +117,6 @@ def test_bigrade_sl9_full_partition():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_bigrade_partitions_all_roots(data):
-    from slred.orbits import partitions_of
-
     n = data.draw(st.integers(2, 5))
     partitions = partitions_of(n)
     lam1 = data.draw(st.sampled_from(partitions))
@@ -293,6 +293,50 @@ def test_certificate_json_is_deterministic():
     assert data["ghost_basis"][0]["entries"]
 
 
+def _flags(cert):
+    return (
+        cert.grading_ok,
+        cert.nilpotent_ok,
+        cert.abelian_01,
+        cert.abelian_10,
+        cert.omega_nondegenerate,
+        cert.good_pair_1,
+        cert.good_pair_2,
+    )
+
+
+def test_passes_requires_the_second_good_pair():
+    # x2 puts the one positive root of sl_2 in degree 2, so (f, x2) is not
+    # good, and every other condition holds
+    p = Pyramid([2], (-1,))
+    f = nilpotent_from_pyramid(p)
+    bi = BiGrading(grading_element_of(p), grading_element_of(Pyramid([1, 1], (-1, 1))))
+    cert = check_star(f, f, bi)
+    assert _flags(cert) == (True, True, True, True, True, True, False)
+    assert cert.violations == {}
+    assert not cert.passes
+
+
+def test_passes_requires_the_first_good_pair():
+    # row 2 of the [2, 2] diagram overhangs row 1 on the left, so it is no
+    # pyramid and its grading is not good for its own f
+    p1, p2 = Pyramid([2, 2], (0, -1)), Pyramid([4], (-1,))
+    bi = BiGrading(grading_element_of(p1), grading_element_of(p2))
+    cert = check_star(nilpotent_from_pyramid(p1), nilpotent_from_pyramid(p2), bi)
+    assert _flags(cert) == (True, True, True, True, True, False, True)
+    assert cert.violations == {}
+    assert not cert.passes
+
+
+def test_grading_condition_rejects_a_positive_root_of_bidegree_zero_two():
+    f = ExactMatrix(3, {(2, 1): 1})
+    bi = BiGrading(GradingElement.zero(3), GradingElement([1, 0, -1]))
+    cert = check_star(f, f, bi)
+    assert _flags(cert) == (False, True, False, True, False, False, False)
+    assert cert.violations["grading"] == ["(1,3) in (0, 2)"]
+    assert not cert.passes
+
+
 def test_passes_requires_good_pairs():
     # grading, nilpotent and omega conditions hold, but E_21 has degree 0
     # under the zero grading, so neither (E_21, 0) is a good pair
@@ -339,7 +383,7 @@ def test_singular_witness_is_rejected():
     f1, f2, bi, g, f_std, target = _theorem_witness()
     # the projection onto one row of the target pyramid commutes with f_std
     # and has x2-degree 0
-    row = ExactMatrix(9, {(k, k): F(1) for k in target.row_labels(1)})
+    row = ExactMatrix(9, {(k, k): F(1) for k in row_labels(target, 1)})
     for g_bad in (g * row, ExactMatrix.zero(9)):
         assert f2 * g_bad == g_bad * f_std
         with pytest.raises(ValueError, match="singular"):
@@ -350,3 +394,36 @@ def test_witness_that_does_not_conjugate_is_rejected():
     f1, f2, bi, _g, f_std, _target = _theorem_witness()
     with pytest.raises(ValueError, match="conjugate"):
         check_star(f1, f2, bi, witness=(ExactMatrix.identity(9), f_std))
+
+
+def test_the_former_witness_check_rejects_the_same_witnesses():
+    f1, f2, bi, g, f_std, target = _theorem_witness()
+    row = ExactMatrix(9, {(k, k): F(1) for k in row_labels(target, 1)})
+    bad = [
+        (g * (ExactMatrix.identity(9) + f_std), "x2-degree"),
+        (g * row, "singular"),
+        (ExactMatrix.zero(9), "singular"),
+        (ExactMatrix.identity(9), "does not conjugate"),
+    ]
+    for g_bad, message in bad:
+        with pytest.raises(ValueError, match=message):
+            dense_oracle.witnessed_representative((g_bad, f_std), f2, bi)
+        with pytest.raises(ValueError, match=message):
+            check_star(f1, f2, bi, witness=(g_bad, f_std))
+
+
+def test_the_former_witness_check_accepts_every_conjugator():
+    checked = 0
+    for n in range(2, 11):
+        for lam in partitions_of(n):
+            for mu, _rows in box_moves_from(lam):
+                datum = build_reduction(lam, mu)
+                bi = BiGrading(
+                    grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu)
+                )
+                witness = (datum.conjugator, datum.f_mu_std)
+                assert dense_oracle.witnessed_representative(
+                    witness, datum.f_mu_tilde, bi
+                ) == datum.f_mu_std, (lam, mu)
+                checked += 1
+    assert checked == 229
