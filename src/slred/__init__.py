@@ -58,7 +58,6 @@ from .reduction import (
     build_chain,
     build_reduction,
     conjugator_height_two,
-    embed_case_two,
     verify_conjugation,
 )
 from .screening import (

@@ -18,9 +18,10 @@ returned:
   only after exact verification.
 
 The whole-diagram case (window = all rows) is built from closed-form
-index formulas; the general case transports that datum through the
-order isomorphism onto the window's labels, which leaves every label
-outside the window untouched.
+index formulas.  The rows i..j of lam's source tableau are order-isomorphic
+to that case-I tableau, so f_circ and the ghosts are transported once,
+through the window's labels, and the two-row conjugator once, through the
+labels of rows i and j; every label outside them stays fixed.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from .star import BiGrading, StarCertificate, check_star, verify_conjugation
 __all__ = [
     "AdjacencyData",
     "CaseOneDatum",
-    "EmbeddedDatum",
     "ReductionDatum",
     "adjacency_data",
     "build_case_one",
     "build_chain",
     "build_reduction",
     "conjugator_height_two",
-    "embed_case_two",
     "verify_conjugation",
 ]
 
@@ -180,93 +179,9 @@ def _transport(
     return ExactMatrix(n, entries)
 
 
-def _window_labels(p: Pyramid, i: int, j: int) -> tuple[int, ...]:
-    return tuple(
-        sorted(lab for (_x, row), lab in p.labels.items() if i <= row <= j)
-    )
-
-
-def _embedded_conjugator(inner: CaseOneDatum) -> ExactMatrix:
-    """The height-two conjugator spread over the full window [a, b^(s+1)].
-
-    f_circ only touches the top and bottom rows of the window, and both
-    representatives preserve the splitting into (top row + bottom row)
-    coordinates versus the interior rows.  So the two-row conjugator acts
-    through the order isomorphism onto those labels and as the identity
-    on every interior row.
-    """
-    g2 = conjugator_height_two(inner.a, inner.b)
-    source = align_for_theorem(inner.lam, 1, inner.s + 2, "source")
-    outer = tuple(
-        sorted(
-            lab
-            for (_x, row), lab in source.labels.items()
-            if row in (1, inner.s + 2)
-        )
-    )
-    return _transport(g2, outer, inner.lam.n, identity_off=True)
-
-
-@dataclass(frozen=True)
-class EmbeddedDatum:
-    """A window datum transported into the ambient algebra (precursor)."""
-
-    lam: Partition
-    mu: Partition
-    adjacency: AdjacencyData
-    window: tuple[int, ...]
-    source: Pyramid
-    target: Pyramid
-    f_lam: ExactMatrix
-    f_circ: ExactMatrix
-    f_mu_std: ExactMatrix
-    f_mu_tilde: ExactMatrix
-    ghost_basis: tuple[ExactMatrix, ...]
-    conjugator_candidate: ExactMatrix
-
-
-def embed_case_two(
-    inner: CaseOneDatum, lam: PartitionLike, ad: AdjacencyData
-) -> EmbeddedDatum:
-    """Transport a full-window datum onto the window rows i..j inside lam.
-
-    The index map sends window coordinate k to the k-th smallest label of
-    rows i..j in the aligned source tableau; labels outside the window —
-    and every arrow between them, which the move never touches — stay
-    fixed.  For case I the map is the identity.
-    """
-    lam = _coerce(lam)
-    source = align_for_theorem(lam, ad.i, ad.j, "source")
-    target = align_for_theorem(lam, ad.i, ad.j, "target")
-    window = _window_labels(source, ad.i, ad.j)
-    if (
-        len(window) != inner.lam.n
-        or lam.parts[ad.i - 1 : ad.j] != inner.lam.parts
-    ):
-        raise ValueError(
-            f"window rows {ad.i}..{ad.j} of {lam} do not carry {inner.lam}"
-        )
-    n = lam.n
-    f_lam = nilpotent_from_pyramid(source)
-    f_circ = _transport(inner.f_circ, window, n)
-    ghosts = tuple(_transport(g, window, n) for g in inner.ghost_basis)
-    conjugator = _transport(
-        _embedded_conjugator(inner), window, n, identity_off=True
-    )
-    return EmbeddedDatum(
-        lam=lam,
-        mu=target.partition,
-        adjacency=ad,
-        window=window,
-        source=source,
-        target=target,
-        f_lam=f_lam,
-        f_circ=f_circ,
-        f_mu_std=nilpotent_from_pyramid(target),
-        f_mu_tilde=f_lam + f_circ,
-        ghost_basis=ghosts,
-        conjugator_candidate=conjugator,
-    )
+def _row_labels(p: Pyramid, rows: Sequence[int]) -> tuple[int, ...]:
+    """The labels of the given rows of p, in increasing order."""
+    return tuple(sorted(lab for (_x, row), lab in p.labels.items() if row in rows))
 
 
 # --------------------------------------------------------------------------
@@ -343,32 +258,43 @@ def _build_reduction(
     ad = adjacency_data(lam, mu)
     a, b, s = lam.part(ad.i), lam.part(ad.j), ad.j - ad.i - 1
     inner = build_case_one(a, b, s)
-    pre = embed_case_two(inner, lam, ad)
+    source = align_for_theorem(lam, ad.i, ad.j, "source")
+    target = align_for_theorem(lam, ad.i, ad.j, "target")
+    window = _row_labels(source, range(ad.i, ad.j + 1))
+    if len(window) != inner.lam.n or lam.parts[ad.i - 1 : ad.j] != inner.lam.parts:
+        raise _fail("window", f"rows {ad.i}..{ad.j} of {lam} do not carry {inner.lam}")
+    if target.partition != mu:
+        raise _fail("target tableau shape", f"{target.partition} != {mu}")
 
-    if pre.mu != mu:
-        raise _fail("target tableau shape", f"{pre.mu} != {mu}")
-
-    bi = BiGrading(
-        grading_element_of(pre.source), grading_element_of(pre.target)
+    n = lam.n
+    f_lam = nilpotent_from_pyramid(source)
+    f_mu_std = nilpotent_from_pyramid(target)
+    f_circ = _transport(inner.f_circ, window, n)
+    f_mu_tilde = f_lam + f_circ
+    ghosts = tuple(_transport(g, window, n) for g in inner.ghost_basis)
+    # rows i and j are the top and bottom rows of the case-I window, which
+    # the two-row conjugator moves; every other label stays fixed
+    conjugator = _transport(
+        conjugator_height_two(a, b),
+        _row_labels(source, (ad.i, ad.j)),
+        n,
+        identity_off=True,
     )
-    if tuple(jordan_type(pre.f_mu_std)) != mu.parts:
-        raise _fail(
-            "jordan type of f_lam + f_circ",
-            f"{jordan_type(pre.f_mu_std)} != {mu}",
-        )
+
+    jordan = jordan_type(f_mu_std)
+    if tuple(jordan) != mu.parts:
+        raise _fail("jordan type of f_mu_std", f"{jordan} != {mu}")
 
     # the witness check inside check_star is the datum's one conjugation test:
     # a conjugator inside G_0(x2) carries goodness as well as Jordan type
-    conjugator = pre.conjugator_candidate
+    bi = BiGrading(grading_element_of(source), grading_element_of(target))
     try:
-        certificate = check_star(
-            pre.f_lam, pre.f_mu_tilde, bi, witness=(conjugator, pre.f_mu_std)
-        )
+        certificate = check_star(f_lam, f_mu_tilde, bi, witness=(conjugator, f_mu_std))
     except ValueError as exc:
         raise _fail("conjugation", str(exc)) from exc
     if not certificate.passes:
         raise _fail("compatibility certificate", str(certificate.violations))
-    if certificate.ghost_basis != pre.ghost_basis:
+    if certificate.ghost_basis != ghosts:
         raise _fail(
             "ghost basis",
             "kernel route disagrees with the index-formula route",
@@ -376,7 +302,7 @@ def _build_reduction(
 
     # check_star paired f2 - f1 = f_circ with the ghosts checked equal above
     character = certificate.character
-    expected = (Fraction(b),) + (Fraction(0),) * (len(pre.ghost_basis) - 1)
+    expected = (Fraction(b),) + (Fraction(0),) * (len(ghosts) - 1)
     if character != expected:
         raise _fail("character", f"{character} != {expected}")
 
@@ -384,17 +310,17 @@ def _build_reduction(
         lam=lam,
         mu=mu,
         adjacency=ad,
-        pyr_lam=pre.source,
-        pyr_mu=pre.target,
-        f_lam=pre.f_lam,
-        f_mu_std=pre.f_mu_std,
-        f_circ=pre.f_circ,
-        f_mu_tilde=pre.f_mu_tilde,
-        ghost_basis=pre.ghost_basis,
+        pyr_lam=source,
+        pyr_mu=target,
+        f_lam=f_lam,
+        f_mu_std=f_mu_std,
+        f_circ=f_circ,
+        f_mu_tilde=f_mu_tilde,
+        ghost_basis=ghosts,
         character=character,
         conjugator=conjugator,
         certificate=certificate,
-        embedding_window=pre.window,
+        embedding_window=window,
     )
 
 

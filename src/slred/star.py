@@ -182,7 +182,11 @@ _ALLOWED_POSITIVE = ((0, 0), (0, 1), (1, 0))
 
 @dataclass(frozen=True)
 class StarCertificate:
-    """Outcome of the two-grading compatibility check, with exact witnesses."""
+    """Outcome of the two-grading compatibility check, with exact witnesses.
+
+    `violations` has one entry per False condition, so it is empty exactly
+    when the certificate passes.
+    """
 
     n: int
     grading_ok: bool
@@ -320,15 +324,23 @@ def check_star(
             + ("" if len(omega) == piece10.dim else " (not square)")
         ]
 
+    flags = {}
+    for name, ok, failure in (
+        ("abelian_01", _is_abelian(piece01.roots), "cell (0,1) is not abelian"),
+        ("abelian_10", _is_abelian(piece10.roots), "cell (1,0) is not abelian"),
+        ("good_pair_1", is_good_grading(f1, bi.x1), "(f1, x1) is not a good pair"),
+        ("good_pair_2", is_good_grading(f2_rep, bi.x2), "(f2, x2) is not a good pair"),
+    ):
+        flags[name] = ok
+        if not ok:
+            violations[name] = [failure]
+
     return StarCertificate(
         n=n,
         grading_ok=not bad_roots,
         nilpotent_ok=not bad_entries,
-        abelian_01=_is_abelian(piece01.roots),
-        abelian_10=_is_abelian(piece10.roots),
         omega_nondegenerate=nondegenerate,
-        good_pair_1=is_good_grading(f1, bi.x1),
-        good_pair_2=is_good_grading(f2_rep, bi.x2),
+        **flags,
         ghost_basis=tuple(ghost_basis),
         omega_matrix=tuple(tuple(row) for row in omega),
         f_circ=f_circ,

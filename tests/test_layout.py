@@ -3,7 +3,8 @@
 No `slred` module may import a `_private` name from a sibling module, and
 every module-level import must be used in its module.  `__init__.py` only
 re-exports, and `from __future__` imports change the compiler, so both are
-exempt.  Every function the benchmark's tracer wraps must exist under the
+exempt.  Every name a module lists in `__all__` must be bound at its top
+level, so a stale export fails here and not only on `import *`.  Every function the benchmark's tracer wraps must exist under the
 name it wraps, so a rename fails here and not only in a traced run.
 """
 
@@ -39,25 +40,43 @@ def _is_sibling(source) -> bool:
     return source is not None and (source.startswith(".") or source.startswith("slred"))
 
 
-def _used_names(tree: ast.Module) -> set:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names listed in __all__ are exported, hence used
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(elt.value for elt in node.value.elts)
-    return used
+def _exported(tree: ast.Module) -> list:
+    """The names listed in the module's __all__, in order."""
+    return [
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+
+
+def _top_level_names(tree: ast.Module) -> set:
+    """Names bound by a top-level def, class, assignment or import."""
+    names = {bound for bound, _name, _origin in _imports(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def _violations(source: str) -> list:
     tree = ast.parse(source)
-    used = _used_names(tree)
+    exported = _exported(tree)
+    # names listed in __all__ are exported, hence used
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported)
     out = []
     for bound, name, origin in _imports(tree):
         if _is_sibling(origin) and _is_private(name):
             out.append(f"imports private {name} from {origin}")
         if bound not in used:
             out.append(f"imports {name} but never uses it")
+    defined = _top_level_names(tree)
+    out += [f"exports {name} but never binds it" for name in exported if name not in defined]
     return out
 
 
@@ -80,6 +99,20 @@ def test_guard_flags_private_and_unused_imports():
         "imports private _ZERO from .lie",
         "imports Partition but never uses it",
     ]
+
+
+def test_guard_flags_stale_exports():
+    source = (
+        "from .lie import Root\n"
+        "__all__ = ['Root', 'Datum', 'embed_case_two', 'build', 'LIMIT']\n"
+        "LIMIT: int = 3\n"
+        "class Datum:\n"
+        "    pass\n"
+        "def build(r: Root):\n"
+        "    def embed_case_two():\n"
+        "        pass\n"
+    )
+    assert _violations(source) == ["exports embed_case_two but never binds it"]
 
 
 def test_traced_functions_resolve():

@@ -1,8 +1,8 @@
 """Tests for the reduction builder: adjacency data, window embedding,
 conjugators, and the fully verified datum."""
 
-import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +19,6 @@ from slred.reduction import (
     build_chain,
     build_reduction,
     conjugator_height_two,
-    embed_case_two,
     verify_conjugation,
 )
 
@@ -280,17 +279,20 @@ def test_failed_conjugation_is_an_error(monkeypatch, capsys, fresh_cache):
 
 def test_conjugator_outside_g0_is_an_error(monkeypatch, capsys, fresh_cache):
     """g·(I + f_std) still conjugates, since I + f_std commutes with f_std,
-    but f_std has x2-degree -1, so the product leaves G_0(x2)."""
+    but f_std has x2-degree -1, so the product leaves G_0(x2).  The move
+    [3,2] -> [4,1] is case I, so the window map is the identity and the
+    datum's conjugator is the patched two-row one."""
+    f_std = _sum(5, (2, 1), (4, 2), (5, 4))
+    f_tilde = _sum(5, (2, 1), (4, 2), (5, 3), (3, 2), (5, 4))
+    original = reduction.conjugator_height_two
     sheared = []
 
-    def embed(inner, lam, ad):
-        pre = embed_case_two(inner, lam, ad)
-        shear = ExactMatrix.identity(lam.n) + pre.f_mu_std
-        g = pre.conjugator_candidate * shear
-        sheared.append(verify_conjugation(g, pre.f_mu_tilde, pre.f_mu_std))
-        return dataclasses.replace(pre, conjugator_candidate=g)
+    def shear(a, b):
+        g = original(a, b) * (ExactMatrix.identity(5) + f_std)
+        sheared.append(verify_conjugation(g, f_tilde, f_std))
+        return g
 
-    monkeypatch.setattr(reduction, "embed_case_two", embed)
+    monkeypatch.setattr(reduction, "conjugator_height_two", shear)
     message = "failed at conjugation: witness conjugator has nonzero x2-degree"
     with pytest.raises(RuntimeError, match=message):
         build_reduction([3, 2], [4, 1])
@@ -312,6 +314,33 @@ def _counted(monkeypatch, module, name):
         if modname.startswith("slred") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def test_wrong_jordan_type_is_an_error(monkeypatch, capsys, fresh_cache):
+    calls = []
+
+    def wrong(m):
+        calls.append(m)
+        return (m.n,)
+
+    monkeypatch.setattr(reduction, "jordan_type", wrong)
+    message = "failed at jordan type of f_mu_std: (5,) != "
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build_reduction([3, 2], [4, 1])
+    assert len(calls) == 1
+    assert cli.main(["reduce", "3,2", "4,1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_one_datum_aligns_three_tableaux_and_solves_case_one_once(
+    monkeypatch, fresh_cache
+):
+    """The case-I solution aligns its own source tableau; the builder aligns
+    the source and target tableaux of lam, once each."""
+    aligned = _counted(monkeypatch, reduction, "align_for_theorem")
+    solved = _counted(monkeypatch, reduction, "build_case_one")
+    build_reduction([6, 5, 3, 3, 3, 2], [6, 6, 3, 3, 2, 2])
+    assert (len(aligned), len(solved)) == (3, 1)
 
 
 def test_one_datum_checks_its_conjugator_once(monkeypatch, fresh_cache):
@@ -389,18 +418,64 @@ def test_embedding_leaves_outside_rows_alone():
     assert outside_lam == outside_std
 
 
-def test_embed_rejects_inconsistent_window():
-    inner = build_case_one(1, 1, 0)
-    with pytest.raises(ValueError):
-        embed_case_two(inner, Partition([2, 1]), AdjacencyData(1, 2, "I"))
+def test_embed_rejects_inconsistent_window(monkeypatch, capsys, fresh_cache):
+    # rows 1..2 of [2, 1] carry three boxes, the patched case-I datum two
+    original = reduction.build_case_one
+    monkeypatch.setattr(reduction, "build_case_one", lambda a, b, s: original(1, 1, 0))
+    message = "failed at window: rows 1..2 of"
+    with pytest.raises(RuntimeError, match=message):
+        build_reduction([2, 1], [3])
+    assert cli.main(["reduce", "2,1", "3"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_case_one_input_embeds_identically():
     inner = build_case_one(2, 2, 0)
-    pre = embed_case_two(inner, Partition([2, 2]), AdjacencyData(1, 2, "I"))
-    assert pre.window == (1, 2, 3, 4)
-    assert pre.f_circ == inner.f_circ
-    assert pre.ghost_basis == inner.ghost_basis
+    datum = build_reduction([2, 2], [3, 1])
+    assert datum.embedding_window == (1, 2, 3, 4)
+    assert datum.f_circ == inner.f_circ
+    assert datum.ghost_basis == inner.ghost_basis
+
+
+def test_every_datum_is_local_to_its_window():
+    """Window locality, for every box move with N <= 10: no arrow links the
+    window to the rest, the window block is the case-I datum of the window
+    rows, and off the window the three nilpotents agree while the
+    conjugator is the identity."""
+    checked = 0
+    for n in range(2, 11):
+        for lam in partitions_of(n):
+            for mu, _rows in box_moves_from(lam):
+                datum = build_reduction(lam, mu)
+                ad, window = datum.adjacency, datum.embedding_window
+                inside = set(window)
+                off = {}
+                for name in ("f_lam", "f_mu_std", "f_mu_tilde", "conjugator"):
+                    entries = dict(getattr(datum, name).items())
+                    assert all(
+                        (i in inside) == (j in inside) for i, j in entries
+                    ), (lam, mu, name)
+                    off[name] = {p: v for p, v in entries.items() if p[0] not in inside}
+                for m in (datum.f_circ,) + datum.ghost_basis:
+                    assert all(i in inside and j in inside for (i, j), _v in m.items())
+
+                inner = build_reduction(
+                    lam.parts[ad.i - 1 : ad.j], mu.parts[ad.i - 1 : ad.j]
+                )
+                for name in ("f_lam", "f_mu_std", "f_circ", "f_mu_tilde", "conjugator"):
+                    assert _restrict(getattr(datum, name), window) == getattr(
+                        inner, name
+                    ), (lam, mu, name)
+                assert tuple(
+                    _restrict(g, window) for g in datum.ghost_basis
+                ) == inner.ghost_basis, (lam, mu)
+
+                assert off["f_lam"] == off["f_mu_std"] == off["f_mu_tilde"], (lam, mu)
+                assert off["conjugator"] == {
+                    (k, k): 1 for k in range(1, n + 1) if k not in inside
+                }, (lam, mu)
+                checked += 1
+    assert checked == 229
 
 
 # ----------------------------------------------------------------------

@@ -213,9 +213,13 @@ def test_check_star_sl2_passes():
     assert cert.violations == {}
 
 
-def test_check_star_sl2_zero_grading_fails_nilpotent_condition():
+def _sl2_zero_gradings():
     bi = BiGrading(GradingElement.zero(2), GradingElement.zero(2))
-    cert = check_star(ExactMatrix.zero(2), E(2, 2, 1), bi)
+    return ExactMatrix.zero(2), E(2, 2, 1), bi
+
+
+def test_check_star_sl2_zero_grading_fails_nilpotent_condition():
+    cert = check_star(*_sl2_zero_gradings())
     assert not cert.passes
     assert not cert.nilpotent_ok
     assert "nilpotent" in cert.violations
@@ -305,48 +309,95 @@ def _flags(cert):
     )
 
 
-def test_passes_requires_the_second_good_pair():
+def _second_pair_not_good():
     # x2 puts the one positive root of sl_2 in degree 2, so (f, x2) is not
     # good, and every other condition holds
     p = Pyramid([2], (-1,))
     f = nilpotent_from_pyramid(p)
     bi = BiGrading(grading_element_of(p), grading_element_of(Pyramid([1, 1], (-1, 1))))
-    cert = check_star(f, f, bi)
-    assert _flags(cert) == (True, True, True, True, True, True, False)
-    assert cert.violations == {}
-    assert not cert.passes
+    return f, f, bi
 
 
-def test_passes_requires_the_first_good_pair():
+def _first_pair_not_good():
     # row 2 of the [2, 2] diagram overhangs row 1 on the left, so it is no
     # pyramid and its grading is not good for its own f
     p1, p2 = Pyramid([2, 2], (0, -1)), Pyramid([4], (-1,))
     bi = BiGrading(grading_element_of(p1), grading_element_of(p2))
-    cert = check_star(nilpotent_from_pyramid(p1), nilpotent_from_pyramid(p2), bi)
+    return nilpotent_from_pyramid(p1), nilpotent_from_pyramid(p2), bi
+
+
+def _positive_root_in_bidegree_zero_two():
+    f = ExactMatrix(3, {(2, 1): 1})
+    return f, f, BiGrading(GradingElement.zero(3), GradingElement([1, 0, -1]))
+
+
+def _neither_pair_good():
+    # grading, nilpotent and omega conditions hold, but E_21 has degree 0
+    # under the zero grading, so neither (E_21, 0) is a good pair
+    bi = BiGrading(GradingElement.zero(2), GradingElement.zero(2))
+    return E(2, 2, 1), E(2, 2, 1), bi
+
+
+def test_passes_requires_the_second_good_pair():
+    cert = check_star(*_second_pair_not_good())
+    assert _flags(cert) == (True, True, True, True, True, True, False)
+    assert cert.violations == {"good_pair_2": ["(f2, x2) is not a good pair"]}
+    assert not cert.passes
+
+
+def test_passes_requires_the_first_good_pair():
+    cert = check_star(*_first_pair_not_good())
     assert _flags(cert) == (True, True, True, True, True, False, True)
-    assert cert.violations == {}
+    assert cert.violations == {"good_pair_1": ["(f1, x1) is not a good pair"]}
     assert not cert.passes
 
 
 def test_grading_condition_rejects_a_positive_root_of_bidegree_zero_two():
-    f = ExactMatrix(3, {(2, 1): 1})
-    bi = BiGrading(GradingElement.zero(3), GradingElement([1, 0, -1]))
-    cert = check_star(f, f, bi)
+    cert = check_star(*_positive_root_in_bidegree_zero_two())
     assert _flags(cert) == (False, True, False, True, False, False, False)
     assert cert.violations["grading"] == ["(1,3) in (0, 2)"]
     assert not cert.passes
 
 
 def test_passes_requires_good_pairs():
-    # grading, nilpotent and omega conditions hold, but E_21 has degree 0
-    # under the zero grading, so neither (E_21, 0) is a good pair
-    bi = BiGrading(GradingElement.zero(2), GradingElement.zero(2))
-    cert = check_star(E(2, 2, 1), E(2, 2, 1), bi)
+    cert = check_star(*_neither_pair_good())
     assert cert.grading_ok and cert.nilpotent_ok and cert.omega_nondegenerate
     assert cert.abelian_01 and cert.abelian_10
     assert not cert.good_pair_1 and not cert.good_pair_2
     assert not cert.passes
     assert cert.to_json()["pass"] is False
+
+
+# the violation key of each flag, in the order of _flags
+_VIOLATION_KEYS = (
+    "grading",
+    "nilpotent",
+    "abelian_01",
+    "abelian_10",
+    "omega",
+    "good_pair_1",
+    "good_pair_2",
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _sl2_zero_gradings,
+        _second_pair_not_good,
+        _first_pair_not_good,
+        _positive_root_in_bidegree_zero_two,
+        _neither_pair_good,
+    ],
+    ids=lambda build: build.__name__.strip("_"),
+)
+def test_violations_name_every_failed_condition(build):
+    cert = check_star(*build())
+    assert not cert.passes
+    assert cert.passes == (not cert.violations)
+    failed = {key for key, ok in zip(_VIOLATION_KEYS, _flags(cert)) if not ok}
+    assert set(cert.violations) == failed
+    assert all(cert.violations[key] for key in failed)
 
 
 # ----------------------------------------------------------------------
