@@ -10,6 +10,14 @@ is taken.  A Fourier-type comparison transports the coefficients built
 on the finer nilpotent (evaluating ghost directions against the step
 nilpotent and swapping the symplectically paired symbols) and checks that
 they land on the coarser side's coefficients up to sign.
+
+A polynomial is a table from monomials to coefficients.  Each variable
+(kind, index) is one int key, computed arithmetically so that keys sort in
+display order; a monomial is a key-sorted tuple of (key, exponent) pairs, so
+multiplying two is a merge, and variables are decoded from the keys only
+when read (`Poly.items`, `to_json`, `repr`).  A coefficient is an int while
+it is integral and a Fraction otherwise; `==`, `hash` and `str` agree for
+the two, so the output does not depend on which one is stored.
 """
 
 from __future__ import annotations
@@ -28,27 +36,46 @@ from .star import BiGrading, bigrade, kernel_on_basis
 # polynomials in tagged commuting variables
 # ----------------------------------------------------------------------
 
-#: Variable tags, in display order.  Root-indexed variables carry a Root,
+#: Variable kinds, in display order.  Root-indexed variables carry a Root,
 #: splitting-indexed ones a plain integer.
-_KIND_ORDER = {"z": 0, "beta": 1, "gamma": 2, "beta-hat": 3, "gamma-hat": 4}
+_KINDS = ("z", "beta", "gamma", "beta-hat", "gamma-hat")
+_KIND_ORDER = {kind: k for k, kind in enumerate(_KINDS)}
+
+#: A variable's int key packs its kind, whether its index is a root, and the
+#: index into bit fields: a root (i, j) takes one `_BITS`-bit field per
+#: coordinate, a plain index both.  So keys sort by kind, then plain indices
+#: before roots, then by the index.
+_BITS = 12
+_FIELD = 1 << _BITS
+_SLOT = 1 << 2 * _BITS
 
 Var = tuple
+#: A tuple of (variable key, exponent) pairs, sorted by key.
 Monomial = tuple
+Rational = Union[int, Fraction]
 
 
-def _norm_var(kind: str, index) -> Var:
-    if kind not in _KIND_ORDER:
+def _var_key(kind: str, index) -> int:
+    """The int key of the variable (kind, index)."""
+    k = _KIND_ORDER.get(kind)
+    if k is None:
         raise ValueError(f"unknown variable kind {kind!r}")
     if isinstance(index, int):
-        return (kind, index)
-    return (kind, Root(int(index[0]), int(index[1])))
+        if not 0 <= index < _SLOT:
+            raise ValueError(f"variable index {index} outside [0, {_SLOT})")
+        return 2 * k * _SLOT + index
+    i, j = int(index[0]), int(index[1])
+    if not (0 <= i < _FIELD and 0 <= j < _FIELD):
+        raise ValueError(f"root index ({i},{j}) outside [0, {_FIELD})")
+    return (2 * k + 1) * _SLOT + i * _FIELD + j
 
 
-def _var_key(var: Var):
-    kind, idx = var
-    if isinstance(idx, int):
-        return (_KIND_ORDER[kind], 0, (idx,))
-    return (_KIND_ORDER[kind], 1, tuple(idx))
+def _key_var(key: int) -> Var:
+    """The variable (kind, index) behind an int key."""
+    slot, index = divmod(key, _SLOT)
+    if slot & 1:
+        return (_KINDS[slot >> 1], Root(*divmod(index, _FIELD)))
+    return (_KINDS[slot >> 1], index)
 
 
 def var_name(var: Var) -> str:
@@ -57,51 +84,105 @@ def var_name(var: Var) -> str:
     return f"{kind}_{idx}"
 
 
-def _item_key(item):
-    return _var_key(item[0])
-
-
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials: a merge of their key-sorted pairs."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps = dict(m1)
-    for var, e in m2:
-        exps[var] = exps[var] + e if var in exps else e
-    return tuple(sorted(exps.items(), key=_item_key))
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif b[0] < a[0]:
+            out.append(b)
+            j += 1
+        else:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
-def _mono_key(mono: Monomial):
-    return tuple((_var_key(var), e) for var, e in mono)
+def _normal(c: Rational) -> Rational:
+    """An int or Fraction as an int while it is integral, else as a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _rational(value) -> Rational:
+    """An outside scalar (int, Fraction or str) in the stored coefficient form."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return _normal(value)
+
+
+def _accumulate(terms: dict, items: Iterable) -> dict:
+    """Add (monomial, coefficient) pairs into `terms`, dropping what cancels."""
+    for mono, c in items:
+        if mono in terms:
+            c = terms[mono] + c
+            if not c:
+                del terms[mono]
+                continue
+        terms[mono] = _normal(c)
+    return terms
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The term table of a product of two term tables.
+
+    A one-term factor maps the other's monomials one to one and its nonzero
+    coefficients to nonzero ones, so only two longer factors can cancel.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((m1, c1),) = a.items()
+        return {_mono_mul(m1, m2): _normal(c1 * c2) for m2, c2 in b.items()}
+    return _accumulate(
+        {}, ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+    )
 
 
 class Poly:
-    """Exact multivariate polynomial with Fraction coefficients."""
+    """Exact multivariate polynomial with rational coefficients.
+
+    ``terms`` maps each monomial to its coefficient, which is never zero and
+    is an int while it is integral, else a Fraction.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        self.terms: dict[Monomial, Fraction] = {}
+        self.terms: dict[Monomial, Rational] = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _rational(c)
             if c:
                 self.terms[mono] = c
 
     @classmethod
     def _of(cls, terms: dict) -> "Poly":
-        """Wrap coefficients that are already Fractions, dropping zeros."""
+        """Wrap terms whose coefficients are already nonzero and normalized."""
         poly = object.__new__(cls)
-        poly.terms = {mono: c for mono, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls._of({(): Fraction(value)})
+        c = _rational(value)
+        return cls._of({(): c} if c else {})
 
     @classmethod
     def variable(cls, kind: str, index) -> "Poly":
-        return cls._of({((_norm_var(kind, index), 1),): Fraction(1)})
+        return cls._of({((_var_key(kind, index), 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,14 +193,19 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
 
+    def items(self) -> list[tuple[tuple[tuple[Var, int], ...], Rational]]:
+        """(monomial, coefficient) pairs in display order, each monomial
+        spelled as ((kind, index), exponent) pairs."""
+        return [
+            (tuple((_key_var(key), e) for key, e in mono), self.terms[mono])
+            for mono in sorted(self.terms)
+        ]
+
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms[mono] + c if mono in terms else c
-        return Poly._of(terms)
+        return Poly._of(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -139,13 +225,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                terms[mono] = terms[mono] + c if mono in terms else c
-        return Poly._of(terms)
+        return Poly._of(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -167,45 +247,39 @@ class Poly:
     def __hash__(self) -> int:
         # A constant equals its scalar, so it must hash like one.
         if self.is_constant():
-            return hash(self.terms.get((), Fraction(0)))
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping: dict) -> "Poly":
         """Replace whole variables; values may be polynomials or scalars.
 
-        Only the replaced variables are multiplied out; the kept ones ride
-        along as a plain monomial.
+        Each term is rewritten on its own: its kept variables ride along as
+        one monomial, and each replaced power is multiplied into it.  When
+        every value has one term, as in `fourier_signs`, so does each image.
         """
-        table = {_norm_var(*var): _as_poly(value) for var, value in mapping.items()}
-        terms: dict[Monomial, Fraction] = {}
+        table = {_var_key(*var): _as_poly(value).terms for var, value in mapping.items()}
+        terms: dict[Monomial, Rational] = {}
         for mono, c in self.terms.items():
-            kept = tuple(item for item in mono if item[0] not in table)
-            factor = Poly.const(c)
-            for var, e in mono:
-                if var in table:
-                    factor = factor * table[var] ** e
-            for m, d in factor.terms.items():
-                m = _mono_mul(m, kept)
-                terms[m] = terms[m] + d if m in terms else d
+            image = {tuple(item for item in mono if item[0] not in table): c}
+            for key, e in mono:
+                value = table.get(key)
+                if value is not None:
+                    for _ in range(e):
+                        image = _product(image, value)
+            _accumulate(terms, image.items())
         return Poly._of(terms)
 
     def to_json(self) -> list:
-        out = []
-        for mono in sorted(self.terms, key=_mono_key):
-            out.append(
-                {
-                    "monomial": {var_name(var): e for var, e in mono},
-                    "coeff": str(self.terms[mono]),
-                }
-            )
-        return out
+        return [
+            {"monomial": {var_name(var): e for var, e in mono}, "coeff": str(c)}
+            for mono, c in self.items()
+        ]
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=_mono_key):
-            c = self.terms[mono]
+        for mono, c in self.items():
             names = [var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono]
             body = "*".join(names)
             parts.append(f"{c}" if not body else f"{c}*{body}")
@@ -266,25 +340,30 @@ def trace_pair(a: ExactMatrix, m: PolyMatrix) -> Poly:
     The products a_ik·m_ki are summed straight into one coefficient table.
     """
     m._require_same_size(a)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Rational] = {}
     for (i, k), c in a.items():
         p = m._e.get((k, i))
         if p is not None:
-            for mono, d in p.terms.items():
-                v = c * d
-                terms[mono] = terms[mono] + v if mono in terms else v
+            c = _normal(c)
+            _accumulate(terms, ((mono, c * d) for mono, d in p.terms.items()))
     return Poly._of(terms)
 
 
 def exp_nilpotent(m: PolyMatrix) -> PolyMatrix:
-    """Exponential of a nilpotent matrix as a terminating series."""
+    """Exponential of a nilpotent matrix as a terminating series.
+
+    Each power m^k is scaled by 1/k! only as it is added, so the powers of
+    an integral m keep int coefficients.
+    """
     result = PolyMatrix.identity(m.n)
-    term = PolyMatrix.identity(m.n)
+    power = PolyMatrix.identity(m.n)
+    factorial = 1
     for k in range(1, m.n + 1):
-        term = (term * m).scale(Fraction(1, k))
-        if term.is_zero():
+        power = power * m
+        if power.is_zero():
             return result
-        result = result + term
+        factorial *= k
+        result = result + power.scale(Fraction(1, factorial))
     raise ValueError("matrix is not nilpotent")
 
 
@@ -525,6 +604,11 @@ class ScreeningSet:
     split: OmegaSplit
 
     def coefficient(self, i: int) -> Poly:
+        """The coefficient of the i-th simple root, for 1 <= i < n."""
+        if not 1 <= i <= len(self.coefficients):
+            raise IndexError(
+                f"simple root index {i} out of range 1..{len(self.coefficients)}"
+            )
         return self.coefficients[i - 1]
 
     def to_json(self) -> dict:
@@ -541,12 +625,24 @@ class ScreeningSet:
         }
 
 
-def _linear(coeffs: Iterable[Poly], kind: str) -> Poly:
-    """sum_j coeffs[j]·kind_j, with j counted from 1."""
-    total = Poly()
-    for j, c in enumerate(coeffs, start=1):
-        total = total + c * Poly.variable(kind, j)
-    return total
+def _linear(kind: str, coeffs: Iterable[tuple]) -> Poly:
+    """The sum of c·kind_index over the (index, c) pairs, in one term table."""
+    terms: dict[Monomial, Rational] = {}
+    for index, c in coeffs:
+        var = ((_var_key(kind, index), 1),)
+        _accumulate(terms, ((_mono_mul(mono, var), d) for mono, d in c.terms.items()))
+    return Poly._of(terms)
+
+
+def _conjugated_unit(ginv: PolyMatrix, g: PolyMatrix, i: int) -> PolyMatrix:
+    """ginv·E_{i,i+1}·g, the outer product of column i of ginv and row i+1 of g.
+
+    Each position is met once and the ring has no zero divisors, so no
+    entry cancels.
+    """
+    column = [(r, p) for (r, k), p in ginv._e.items() if k == i]
+    row = [(s, q) for (k, s), q in g._e.items() if k == i + 1]
+    return PolyMatrix._of(g.n, {(r, s): p * q for r, p in column for s, q in row})
 
 
 def screening_pair(
@@ -594,27 +690,26 @@ def screening_pair(
             )
         cases.append(_CASES[degree])
         if degree == (0, 0):
-            total = Poly()
-            for root, p in left_action_coeffs(i, chart).items():
-                total = total + p * Poly.variable("beta", root)
+            total = _linear("beta", left_action_coeffs(i, chart).items())
             source.append(total)
             target.append(total)
             continue
 
-        w = ginv * PolyMatrix.unit(n, i, i + 1) * g
+        w = _conjugated_unit(ginv, g, i)
         if degree == (1, 1):
             source.append(trace_pair(f1, w))
             target.append(trace_pair(f2, w))
         elif degree == (0, 1):
             paired = [trace_pair(dual, w) for dual in split.u_duals]
-            source.append(_linear(paired, "beta"))
+            source.append(_linear("beta", enumerate(paired, 1)))
             target.append(
-                trace_pair(f_circ, w) + _linear(paired[: split.pairs], "gamma-hat")
+                trace_pair(f_circ, w)
+                + _linear("gamma-hat", enumerate(paired[: split.pairs], 1))
             )
         else:  # (1, 0)
             paired = [trace_pair(dual, w) for dual in split.v_duals]
-            source.append(-_linear(paired, "gamma"))
-            target.append(_linear(paired, "beta-hat"))
+            source.append(-_linear("gamma", enumerate(paired, 1)))
+            target.append(_linear("beta-hat", enumerate(paired, 1)))
 
     return tuple(
         ScreeningSet(

@@ -11,7 +11,7 @@ checklist even on a fully green run.
 
 import time
 
-from screening_oracle import derivative
+from screening_oracle import Poly, derivative, from_package
 from slred.lie import ExactMatrix, bracket, jordan_type
 from slred.orbits import (
     Partition,
@@ -32,7 +32,6 @@ from slred.pyramids import (
 )
 from slred.reduction import build_chain, build_reduction, verify_conjugation
 from slred.screening import (
-    Poly,
     UnipotentChart,
     fourier_compare,
     left_action_coeffs,
@@ -207,11 +206,13 @@ def test_criterion_06_left_actions_reverse_brackets(capsys):
         gens = {
             i: ExactMatrix.unit(n, i, i + 1) for i in range(1, n)
         }
-        lefts = {i: left_action_coeffs(i, chart) for i in range(1, n)}
-        rights = {i: right_action_of(gens[i], chart) for i in range(1, n)}
+        lefts = {i: from_package(left_action_coeffs(i, chart)) for i in range(1, n)}
+        rights = {i: from_package(right_action_of(gens[i], chart)) for i in range(1, n)}
         for i in range(1, n):
             for j in range(1, n):
-                reversed_bracket = left_action_of(bracket(gens[j], gens[i]), chart)
+                reversed_bracket = from_package(
+                    left_action_of(bracket(gens[j], gens[i]), chart)
+                )
                 comm = _derivation_commutator(lefts[i], lefts[j], chart)
                 checked += 1
                 if any(comm[r] != reversed_bracket[r] for r in chart.roots):

@@ -49,7 +49,7 @@ def _poly_matrices(draw, n):
 
 def _sym_poly(p: Poly):
     total = sympy.Integer(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for var, e in mono:
             term *= sympy.Symbol(var_name(var)) ** e
