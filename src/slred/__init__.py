@@ -43,7 +43,6 @@ from .pyramids import (
     right_aligned_offsets,
 )
 from .star import (
-    BiGradedPiece,
     BiGrading,
     StarCertificate,
     bigrade,

@@ -161,10 +161,6 @@ class ExactMatrix(SparseMatrix):
     def entry(self, i: int, j: int) -> Fraction:
         return self._e.get((i, j), _ZERO)
 
-    def support(self) -> list[Root]:
-        """Off-diagonal positions carrying a nonzero entry."""
-        return sorted(Root(i, j) for (i, j) in self._e if i != j)
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.n, {(j, i): v for (i, j), v in self._e.items()})
 
@@ -497,9 +493,6 @@ class GradingElement:
 
     def __repr__(self) -> str:
         return f"GradingElement({', '.join(map(str, self.diag))})"
-
-    def to_json(self) -> list[str]:
-        return [str(v) for v in self.diag]
 
 
 def root_decomposition(x: GradingElement) -> dict[Fraction, list[Root]]:

@@ -234,13 +234,6 @@ class GoodPair:
     x: GradingElement
     pyramid: Pyramid
 
-    def to_json(self) -> dict:
-        return {
-            "f": self.f.to_json(),
-            "x": self.x.to_json(),
-            "pyramid": self.pyramid.to_json(),
-        }
-
 
 def good_pair(p: Pyramid) -> GoodPair:
     """Derive (f, x) from a pyramid and certify the good-grading axioms."""

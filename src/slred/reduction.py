@@ -91,14 +91,17 @@ def adjacency_data(lam: PartitionLike, mu: PartitionLike) -> AdjacencyData:
 
 @dataclass(frozen=True)
 class CaseOneDatum:
-    """Closed-form datum for the full window [a, b^(s+1)] -> [a+1, b^s, b-1]."""
+    """Closed-form datum for the full window [a, b^(s+1)] -> [a+1, b^s, b-1].
+
+    It carries no tableau of its own: the builder reads f_lam off the
+    source tableau of the ambient lam.
+    """
 
     a: int
     b: int
     s: int
     lam: Partition
     mu: Partition
-    f_lam: ExactMatrix
     f_circ: ExactMatrix
     ghost_basis: tuple[ExactMatrix, ...]
 
@@ -126,10 +129,8 @@ def build_case_one(a: int, b: int, s: int) -> CaseOneDatum:
         )
         for i in range(1, step)
     )
-    source = align_for_theorem(lam, 1, step, "source")
-    f_lam = nilpotent_from_pyramid(source)
     mu = Partition([a + 1] + [b] * s + ([b - 1] if b > 1 else []))
-    return CaseOneDatum(a, b, s, lam, mu, f_lam, f_circ, ghosts)
+    return CaseOneDatum(a, b, s, lam, mu, f_circ, ghosts)
 
 
 def conjugator_height_two(a: int, b: int) -> ExactMatrix:

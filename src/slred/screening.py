@@ -251,13 +251,16 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, mapping: dict) -> "Poly":
-        """Replace whole variables; values may be polynomials or scalars.
+        """Replace whole variables; values may be polynomials or scalars."""
+        return self._substitute_keys(_keyed(mapping))
+
+    def _substitute_keys(self, table: dict) -> "Poly":
+        """`substitute` with the mapping already keyed, as `_keyed` gives it.
 
         Each term is rewritten on its own: its kept variables ride along as
         one monomial, and each replaced power is multiplied into it.  When
         every value has one term, as in `fourier_signs`, so does each image.
         """
-        table = {_var_key(*var): _as_poly(value).terms for var, value in mapping.items()}
         terms: dict[Monomial, Rational] = {}
         for mono, c in self.terms.items():
             image = {tuple(item for item in mono if item[0] not in table): c}
@@ -292,6 +295,11 @@ def _as_poly(value) -> "Poly":
     if isinstance(value, (int, Fraction, str)):
         return Poly.const(value)
     return NotImplemented
+
+
+def _keyed(mapping: dict) -> dict:
+    """A substitution {(kind, index): value} as {variable key: term table}."""
+    return {_var_key(*var): _as_poly(value).terms for var, value in mapping.items()}
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +402,6 @@ class UnipotentChart:
                         f"chart is not closed under bracket: ({i},{j})+({j},{k})"
                     )
 
-    def coordinates(self) -> tuple[Var, ...]:
-        return tuple(("z", root) for root in self.roots)
-
     def coordinate_matrix(self) -> PolyMatrix:
         return PolyMatrix(
             self.n, {tuple(root): Poly.variable("z", root) for root in self.roots}
@@ -435,23 +440,36 @@ def _check_on_chart(w: ExactMatrix, chart: UnipotentChart) -> None:
             raise ValueError(f"element has support at ({i},{j}) outside the chart")
 
 
+#: The Bernoulli numbers B_0, B_1, ... with B_1 = -1/2, extended on demand
+#: by the recurrence sum_{k<=m} C(m+1, k) B_k = 0.  A series over sl_N reads
+#: at most 2N - 1 of them, so the list never outgrows the largest input.
+_BERNOULLI = [Fraction(1)]
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n, computed once per process."""
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        _BERNOULLI.append(
+            -sum(comb(m + 1, k) * bk for k, bk in enumerate(_BERNOULLI)) / (m + 1)
+        )
+    return _BERNOULLI[n]
+
+
 def _bernoulli_series(z: PolyMatrix, w: ExactMatrix) -> PolyMatrix:
     """(ad z / (e^{ad z} - 1))(w) = sum_n B_n/n! (ad z)^n(w), with B_1 = -1/2.
 
     The series stops at the first zero bracket, which comes within 2N - 1
-    steps when z is nilpotent.  The Bernoulli numbers come from the
-    recurrence sum_{k<=m} C(m+1, k) B_k = 0, one per step.
+    steps when z is nilpotent.
     """
     term = PolyMatrix.from_exact(w)
     total = term
-    bernoulli = [Fraction(1)]
     factorial = 1
     for n in range(1, 2 * z.n):
         term = z * term - term * z
         if term.is_zero():
             return total
-        b = -sum(comb(n + 1, k) * bk for k, bk in enumerate(bernoulli)) / (n + 1)
-        bernoulli.append(b)
+        b = _bernoulli(n)
         factorial *= n
         if b:
             total = total + term.scale(b / factorial)
@@ -523,17 +541,15 @@ class OmegaSplit:
     ghost_constants: tuple[Fraction, ...]
 
 
-def _positive_roots(piece) -> list[Root]:
-    """Positive roots of a bigraded piece: its intersection with the nilradical."""
-    if piece is None:
-        return []
-    return [r for r in piece.roots if r.is_positive]
+def _positive_roots(roots: Iterable[Root]) -> list[Root]:
+    """Positive roots of a bigraded cell: its intersection with the nilradical."""
+    return [r for r in roots if r.is_positive]
 
 
-def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OmegaSplit:
+def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, cells: dict) -> OmegaSplit:
     n = f1.n
-    roots01 = _positive_roots(pieces.get((0, 1)))
-    roots10 = _positive_roots(pieces.get((1, 0)))
+    roots01 = _positive_roots(cells.get((0, 1), ()))
+    roots10 = _positive_roots(cells.get((1, 0), ()))
 
     kernel, pivots = kernel_on_basis(f1, roots01)
     complement = [ExactMatrix.unit(n, *roots01[p]) for p in pivots]
@@ -672,9 +688,9 @@ def screening_pair(
         raise TypeError(f"expected a ReductionDatum or a GoodPair, got {type(datum)}")
 
     n = f1.n
-    pieces = bigrade(bi)
-    chart = UnipotentChart(n, _positive_roots(pieces.get((0, 0))))
-    split = _omega_split(f1, f_circ, pieces)
+    cells = bigrade(bi)
+    chart = UnipotentChart(n, _positive_roots(cells[(0, 0)]))
+    split = _omega_split(f1, f_circ, cells)
     g = chart.generic_element()
     ginv = _negate_coordinates(g)
 
@@ -773,9 +789,10 @@ def fourier_signs(source: ScreeningSet, target: ScreeningSet) -> tuple:
     for l, c in enumerate(pairing.ghost_constants, start=1):
         substitution[("beta", pairing.pairs + l)] = Poly.const(-c)
 
+    table = _keyed(substitution)
     signs: list = []
     for p, q in zip(source.coefficients, target.coefficients):
-        image = p.substitute(substitution)
+        image = p._substitute_keys(table)
         if image.is_zero() and q.is_zero():
             signs.append(0)
         elif image == q:

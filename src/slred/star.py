@@ -38,7 +38,6 @@ _ZERO = Fraction(0)
 
 __all__ = [
     "BiGrading",
-    "BiGradedPiece",
     "StarCertificate",
     "bigrade",
     "compute_omega",
@@ -72,50 +71,17 @@ class BiGrading:
         i, j = root.i - 1, root.j - 1
         return (l1[i] - l1[j], l2[i] - l2[j])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiGrading):
-            return NotImplemented
-        return self.x1 == other.x1 and self.x2 == other.x2
 
-    def __hash__(self) -> int:
-        return hash((self.x1, self.x2))
+def bigrade(bi: BiGrading) -> dict[tuple[int, int], tuple[Root, ...]]:
+    """Partition all roots of sl_N by bidegree under the two gradings.
 
-    def __repr__(self) -> str:
-        return f"BiGrading({self.x1!r}, {self.x2!r})"
-
-
-@dataclass(frozen=True)
-class BiGradedPiece:
-    """All root spaces of one bidegree; the Cartan is attached to (0,0)."""
-
-    n: int
-    degree: tuple[int, int]
-    roots: tuple[Root, ...]
-    cartan: bool = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.roots) + (self.n - 1 if self.cartan else 0)
-
-    def basis(self) -> list[ExactMatrix]:
-        """Root-vector basis (Cartan directions excluded)."""
-        return [ExactMatrix.unit(self.n, r.i, r.j) for r in self.roots]
-
-
-def _empty_piece(n: int, degree: tuple[int, int]) -> BiGradedPiece:
-    return BiGradedPiece(n, degree, ())
-
-
-def bigrade(bi: BiGrading) -> dict[tuple[int, int], BiGradedPiece]:
-    """Partition all roots of sl_N by bidegree under the two gradings."""
-    n = bi.n
+    Each cell is the tuple of its roots in lexicographic order.  Cell (0,0)
+    holds the Cartan as well, so it is always present, even with no roots.
+    """
     cells: dict[tuple[int, int], list[Root]] = {(0, 0): []}
-    for root in all_roots(n):
+    for root in all_roots(bi.n):
         cells.setdefault(bi.degree_of(root), []).append(root)
-    return {
-        degree: BiGradedPiece(n, degree, tuple(roots), cartan=(degree == (0, 0)))
-        for degree, roots in cells.items()
-    }
+    return {degree: tuple(roots) for degree, roots in cells.items()}
 
 
 def kernel_on_basis(
@@ -152,7 +118,7 @@ def omega_rows(
 
 
 def compute_omega(
-    f1: ExactMatrix, complement: Sequence[Root], piece10: BiGradedPiece
+    f1: ExactMatrix, complement: Sequence[Root], roots10: Sequence[Root]
 ) -> tuple[list[list[Fraction]], bool]:
     """Pairing (u, v) -> (f1, [u, v]) on complement-of-kernel x cell (1,0).
 
@@ -161,8 +127,8 @@ def compute_omega(
     deterministic.  Returns (dense matrix, nondegenerate?); the flag is
     true iff the matrix is square of full rank (vacuously for 0 x 0).
     """
-    rows = omega_rows(f1, complement, piece10.roots)
-    square = len(complement) == piece10.dim
+    rows = omega_rows(f1, complement, roots10)
+    square = len(complement) == len(roots10)
     nondegenerate = square and (
         len(complement) == 0
         or rank_of_rows([dict(enumerate(row)) for row in rows]) == len(complement)
@@ -184,8 +150,8 @@ _ALLOWED_POSITIVE = ((0, 0), (0, 1), (1, 0))
 class StarCertificate:
     """Outcome of the two-grading compatibility check, with exact witnesses.
 
-    `violations` has one entry per False condition, so it is empty exactly
-    when the certificate passes.
+    `violations` has one entry per False condition, so the certificate
+    passes exactly when it is empty.
     """
 
     n: int
@@ -204,15 +170,7 @@ class StarCertificate:
 
     @property
     def passes(self) -> bool:
-        return (
-            self.grading_ok
-            and self.nilpotent_ok
-            and self.omega_nondegenerate
-            and self.abelian_01
-            and self.abelian_10
-            and self.good_pair_1
-            and self.good_pair_2
-        )
+        return not self.violations
 
     def to_json(self) -> dict:
         return {
@@ -285,13 +243,13 @@ def check_star(
     # the goodness checks below raise on a non-nilpotent f1 or f2_rep
     f2_rep = f2 if witness is None else _witnessed_representative(witness, f2, bi)
 
-    pieces = bigrade(bi)
+    cells = bigrade(bi)
     violations: dict[str, list[str]] = {}
 
     bad_roots = [
         root
-        for degree, piece in sorted(pieces.items())
-        for root in piece.roots
+        for degree, roots in sorted(cells.items())
+        for root in roots
         if root.is_positive
         and degree not in _ALLOWED_POSITIVE
         and not (degree[0] > 0 and degree[1] > 0)
@@ -313,21 +271,21 @@ def check_star(
             for root in sorted(bad_entries)
         ]
 
-    piece01 = pieces.get((0, 1), _empty_piece(n, (0, 1)))
-    piece10 = pieces.get((1, 0), _empty_piece(n, (1, 0)))
-    ghost_basis, pivots = kernel_on_basis(f1, piece01.roots)
-    complement = [piece01.roots[k] for k in pivots]
-    omega, nondegenerate = compute_omega(f1, complement, piece10)
+    roots01 = cells.get((0, 1), ())
+    roots10 = cells.get((1, 0), ())
+    ghost_basis, pivots = kernel_on_basis(f1, roots01)
+    complement = [roots01[k] for k in pivots]
+    omega, nondegenerate = compute_omega(f1, complement, roots10)
     if not nondegenerate:
         violations["omega"] = [
-            f"pairing is {len(omega)} x {piece10.dim}"
-            + ("" if len(omega) == piece10.dim else " (not square)")
+            f"pairing is {len(omega)} x {len(roots10)}"
+            + ("" if len(omega) == len(roots10) else " (not square)")
         ]
 
     flags = {}
     for name, ok, failure in (
-        ("abelian_01", _is_abelian(piece01.roots), "cell (0,1) is not abelian"),
-        ("abelian_10", _is_abelian(piece10.roots), "cell (1,0) is not abelian"),
+        ("abelian_01", _is_abelian(roots01), "cell (0,1) is not abelian"),
+        ("abelian_10", _is_abelian(roots10), "cell (1,0) is not abelian"),
         ("good_pair_1", is_good_grading(f1, bi.x1), "(f1, x1) is not a good pair"),
         ("good_pair_2", is_good_grading(f2_rep, bi.x2), "(f2, x2) is not a good pair"),
     ):

@@ -476,8 +476,8 @@ class OracleSplit:
 def omega_split(f1: ExactMatrix, f_circ: ExactMatrix, pieces: dict) -> OracleSplit:
     """The omega split with omega built as trace_form(f1, bracket(u, v))."""
     n = f1.n
-    roots01 = _positive_roots(pieces.get((0, 1)))
-    roots10 = _positive_roots(pieces.get((1, 0)))
+    roots01 = _positive_roots(pieces.get((0, 1), ()))
+    roots10 = _positive_roots(pieces.get((1, 0), ()))
     basis01 = [ExactMatrix.unit(n, r.i, r.j) for r in roots01]
     basis10 = [ExactMatrix.unit(n, r.i, r.j) for r in roots10]
 
@@ -562,11 +562,9 @@ def omega_split_of(datum: ReductionDatum) -> OracleSplit:
     return omega_split(datum.f_lam, datum.f_circ, pieces)
 
 
-def _positive_roots(piece) -> list[Root]:
-    """Positive roots of a bigraded piece: its intersection with the nilradical."""
-    if piece is None:
-        return []
-    return [r for r in piece.roots if r.is_positive]
+def _positive_roots(roots) -> list[Root]:
+    """Positive roots of a bigraded cell: its intersection with the nilradical."""
+    return [r for r in roots if r.is_positive]
 
 
 _CASES = {(0, 0): "I_00", (0, 1): "I_01", (1, 0): "I_10", (1, 1): "I_11"}

@@ -82,6 +82,20 @@ class TestSchema:
         validate(doc, _schema())
         assert doc["status"] == "fail"
 
+    def test_verification_failure_in_json_mode_validates(self, capsys, monkeypatch):
+        def failing(lam, mu):
+            raise RuntimeError("internal verification failed at character: patched")
+
+        monkeypatch.setattr(slred.cli, "build_reduction", failing)
+        code, doc = _run_json(capsys, "reduce", "3,2", "4,1")
+        assert code == 1
+        validate(doc, _schema())
+        assert doc == {
+            "payload": {},
+            "status": "fail",
+            "summary": "internal verification failed at character: patched",
+        }
+
 
 class TestOrbits:
     def test_sl4_has_five_orbits(self, capsys):
@@ -182,6 +196,18 @@ class TestScreenings:
         assert doc["payload"]["fourier_match"] is True
         assert all(s in (-1, 1) for s in doc["payload"]["signs"])
 
+    def test_pair_mode_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            slred.cli, "fourier_signs", lambda source, target: (None,) * len(target.cases)
+        )
+        code, out, _err = _run(capsys, "screenings", "2,1", "3")
+        assert code == 1
+        assert out.splitlines()[0] == "[2,1] -> [3]: Fourier comparison MISMATCH"
+        code, doc = _run_json(capsys, "screenings", "2,1", "3")
+        assert code == 1
+        assert doc["status"] == "fail"
+        assert doc["payload"]["fourier_match"] is False
+
 
 class TestRender:
     def test_ascii_grid_matches_golden_file(self, capsys):
@@ -228,6 +254,33 @@ class TestVerifyAll:
         rows = doc["payload"]["pairs"]
         keys = [(sum(r["lam"]), r["lam"], r["mu"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_a_failing_pair_is_reported(self, capsys, monkeypatch):
+        original = slred.cli.build_reduction
+
+        def fail_one(lam, mu):
+            if lam.parts == (2, 1):
+                raise RuntimeError("internal verification failed at character: patched")
+            return original(lam, mu)
+
+        monkeypatch.setattr(slred.cli, "build_reduction", fail_one)
+        report = verify_all(3)
+        rows = report.payload["pairs"]
+        assert [row for row in rows if not row["ok"]] == [
+            {
+                "lam": [2, 1],
+                "mu": [3],
+                "ok": False,
+                "detail": "internal verification failed at character: patched",
+            }
+        ]
+        assert (report.status, report.exit_code) == ("fail", 1)
+        assert report.summary == f"1 of {len(rows)} pairs failed"
+        assert (report.payload["checked"], report.payload["failed"]) == (3, 1)
+        code, doc = _run_json(capsys, "verify-all", "--max-n", "3")
+        assert code == 1
+        validate(doc, _schema())
+        assert doc["summary"] == "1 of 3 pairs failed"
 
     def test_worker_pool_gives_the_same_report(self, capsys):
         serial = verify_all(4, workers=1)

@@ -5,12 +5,17 @@ every module-level import must be used in its module.  `__init__.py` only
 re-exports, and `from __future__` imports change the compiler, so both are
 exempt.  Every name a module lists in `__all__` must be bound at its top
 level, so a stale export fails here and not only on `import *`.  Every function the benchmark's tracer wraps must exist under the
-name it wraps, so a rename fails here and not only in a traced run.
+name it wraps, so a rename fails here and not only in a traced run.  Every
+top-level function or class of the package, and every method but a dunder,
+must be referenced by name outside its own definition, in `src/`, `tests/`
+or `perfbench/`, so code that nothing reads fails here.
 """
 
 import ast
 import importlib.util
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,6 +85,67 @@ def _violations(source: str) -> list:
     return out
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) per top-level def or class and per method of a
+    top-level class, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names used in a tree: variables, attributes and the parts of imported names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
+def _string_references(tree: ast.AST) -> Counter:
+    """Identifiers spelled inside string constants, such as "Poly.__mul__"."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def _dead_names(package: dict, others, bench) -> list:
+    """Definitions in the package sources that nothing references.
+
+    `package` maps module names to sources; the names, attributes and imports
+    of every source count as references, and for the `bench` sources the
+    identifiers in their strings too.  References inside a definition's own
+    body do not count for that definition.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    for source in others:
+        total += _references(ast.parse(source))
+    for source in bench:
+        tree = ast.parse(source)
+        total += _references(tree) + _string_references(tree)
+    dead = []
+    for module, tree in trees.items():
+        for qualified, node in _definitions(tree):
+            if total[node.name] - _references(node)[node.name] <= 0:
+                dead.append(f"{module}: {qualified}")
+    return dead
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_layout(path):
     assert _violations(path.read_text()) == []
@@ -113,6 +179,41 @@ def test_guard_flags_stale_exports():
         "        pass\n"
     )
     assert _violations(source) == ["exports embed_case_two but never binds it"]
+
+
+def test_every_definition_is_referenced():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _dead_names(package, others, bench) == []
+
+
+def test_guard_flags_dead_names():
+    package = {
+        "mod.py": (
+            "class Chart:\n"
+            "    def read(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 1\n"
+            "    def orphan(self):\n"
+            "        return Chart\n"
+            "    def __repr__(self):\n"
+            "        return 'Chart'\n"
+            "def countdown(n):\n"
+            "    return countdown(n - 1) if n else 0\n"
+            "def traced():\n"
+            "    pass\n"
+            "def exported():\n"
+            "    pass\n"
+        ),
+    }
+    others = ["from mod import exported\nChart().read()\nNAMES = ['orphan']\n"]
+    bench = ["SPANS = ('mod.traced',)\n"]
+    assert _dead_names(package, others, bench) == [
+        "mod.py: Chart.orphan",
+        "mod.py: countdown",
+    ]
 
 
 def test_traced_functions_resolve():

@@ -1,6 +1,7 @@
 """Tests for the reduction builder: adjacency data, window embedding,
 conjugators, and the fully verified datum."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -80,7 +81,7 @@ def test_case_one_sl2():
     datum = build_case_one(1, 1, 0)
     assert datum.ghost_basis == (E(2, 1, 2),)
     assert datum.f_circ == E(2, 2, 1)
-    assert datum.f_lam.is_zero()
+    assert build_reduction(datum.lam, datum.mu).f_lam.is_zero()
     assert datum.mu == Partition([2])
 
 
@@ -102,7 +103,7 @@ def test_case_one_sl9():
 
 def test_case_one_two_rows():
     datum = build_case_one(3, 2, 0)
-    assert datum.f_lam == _sum(5, (2, 1), (4, 2), (5, 3))
+    assert build_reduction(datum.lam, datum.mu).f_lam == _sum(5, (2, 1), (4, 2), (5, 3))
     assert datum.f_circ == _sum(5, (3, 2), (5, 4))
     assert datum.ghost_basis == (_sum(5, (2, 3), (4, 5)),)
 
@@ -277,6 +278,43 @@ def test_failed_conjugation_is_an_error(monkeypatch, capsys, fresh_cache):
     assert "failed at conjugation:" in capsys.readouterr().err
 
 
+def _certificate_with(**fields):
+    """check_star, with the given fields of its certificate replaced."""
+    original = reduction.check_star
+    return lambda *args, **kwargs: dataclasses.replace(original(*args, **kwargs), **fields)
+
+
+def _source_tableaux_only():
+    """align_for_theorem, aligning the source tableau for either stage."""
+    original = reduction.align_for_theorem
+    return lambda lam, i, j, stage: original(lam, i, j, "source")
+
+
+@pytest.mark.parametrize(
+    "name, patched, check",
+    [
+        (
+            "check_star",
+            _certificate_with(violations={"omega": ["patched"]}),
+            "compatibility certificate",
+        ),
+        ("check_star", _certificate_with(ghost_basis=()), "ghost basis"),
+        ("check_star", _certificate_with(character=(F(0),)), "character"),
+        ("align_for_theorem", _source_tableaux_only(), "target tableau shape"),
+    ],
+    ids=["certificate", "ghost-basis", "character", "target-shape"],
+)
+def test_each_verification_can_fail(monkeypatch, capsys, fresh_cache, name, patched, check):
+    """[3,2] -> [4,1] has one ghost and character (2,), so each patch breaks
+    exactly the named check, which the CLI reports with exit code 1."""
+    monkeypatch.setattr(reduction, name, patched)
+    message = f"failed at {check}:"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build_reduction([3, 2], [4, 1])
+    assert cli.main(["reduce", "3,2", "4,1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_conjugator_outside_g0_is_an_error(monkeypatch, capsys, fresh_cache):
     """g·(I + f_std) still conjugates, since I + f_std commutes with f_std,
     but f_std has x2-degree -1, so the product leaves G_0(x2).  The move
@@ -332,15 +370,15 @@ def test_wrong_jordan_type_is_an_error(monkeypatch, capsys, fresh_cache):
     assert message in capsys.readouterr().err
 
 
-def test_one_datum_aligns_three_tableaux_and_solves_case_one_once(
+def test_one_datum_aligns_two_tableaux_and_solves_case_one_once(
     monkeypatch, fresh_cache
 ):
-    """The case-I solution aligns its own source tableau; the builder aligns
-    the source and target tableaux of lam, once each."""
+    """The builder aligns the source and target tableaux of lam, once each;
+    the case-I solution is closed-form and aligns no tableau of its own."""
     aligned = _counted(monkeypatch, reduction, "align_for_theorem")
     solved = _counted(monkeypatch, reduction, "build_case_one")
     build_reduction([6, 5, 3, 3, 3, 2], [6, 6, 3, 3, 2, 2])
-    assert (len(aligned), len(solved)) == (3, 1)
+    assert (len(aligned), len(solved)) == (2, 1)
 
 
 def test_one_datum_checks_its_conjugator_once(monkeypatch, fresh_cache):
@@ -397,7 +435,7 @@ def test_embedding_window_restricts_to_inner_datum():
     window = datum.embedding_window
     assert len(window) == inner.lam.n == 14
     assert _restrict(datum.f_circ, window) == inner.f_circ
-    assert _restrict(datum.f_lam, window) == inner.f_lam
+    assert _restrict(datum.f_lam, window) == build_reduction(inner.lam, inner.mu).f_lam
     assert [_restrict(g, window) for g in datum.ghost_basis] == list(
         inner.ghost_basis
     )

@@ -707,6 +707,19 @@ class TestFourierCompare:
             for case, sign in zip(source.cases, signs):
                 assert sign in (0, _EXPECTED_SIGN[case]), (lam.parts, mu.parts, case)
 
+    def test_zero_and_mismatch_entries(self):
+        """Two vanishing coefficients read 0; a transported coefficient that is
+        neither the target one nor its negative reads None."""
+        datum = _datum((1, 1, 1), (2, 1))
+        source = screening_coeffs(datum, "source")
+        target = screening_coeffs(datum, "target")
+        source = dataclasses.replace(source, coefficients=(Poly(), source.coefficients[1]))
+        target = dataclasses.replace(
+            target, coefficients=(Poly(), target.coefficients[1] + 1)
+        )
+        assert fourier_signs(source, target) == (0, None)
+        assert not fourier_compare(source, target)
+
     def test_rejects_swapped_sides(self):
         datum = _datum((1, 1), (2,))
         source = screening_coeffs(datum, "source")

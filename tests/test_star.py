@@ -28,7 +28,6 @@ from slred.pyramids import (
 )
 from slred.reduction import build_reduction
 from slred.star import (
-    BiGradedPiece,
     BiGrading,
     bigrade,
     check_star,
@@ -92,24 +91,25 @@ def test_bigrade_equal_gradings_is_diagonal():
     x = grading_element_of(Pyramid([3, 2], (1, 0)))
     pieces = bigrade(BiGrading(x, x))
     assert all(i == j for (i, j) in pieces)
-    assert sum(p.dim for p in pieces.values()) == 5 * 5 - 1
+    assert sum(len(roots) for roots in pieces.values()) + 5 - 1 == 5 * 5 - 1
 
 
 def test_bigrade_sl2_trivial_times_principal():
     bi = BiGrading(GradingElement.zero(2), GradingElement((F(1, 2), F(-1, 2))))
     pieces = bigrade(bi)
-    assert pieces[(0, 1)].roots == (Root(1, 2),)
-    assert pieces[(0, -1)].roots == (Root(2, 1),)
-    assert pieces[(0, 0)].roots == ()
-    assert pieces[(0, 0)].cartan
-    assert sum(p.dim for p in pieces.values()) == 3
+    assert pieces[(0, 1)] == (Root(1, 2),)
+    assert pieces[(0, -1)] == (Root(2, 1),)
+    # the Cartan's cell is present with no roots, and carries the n - 1 = 1
+    # Cartan directions
+    assert pieces[(0, 0)] == ()
+    assert sum(len(roots) for roots in pieces.values()) + 2 - 1 == 3
 
 
 def test_bigrade_sl9_full_partition():
     *_rest, bi = _case_one_pair(3, 3, 1)
     pieces = bigrade(bi)
-    assert sum(p.dim for p in pieces.values()) == 9 * 9 - 1
-    seen = [r for p in pieces.values() for r in p.roots]
+    assert sum(len(roots) for roots in pieces.values()) + 9 - 1 == 9 * 9 - 1
+    seen = [r for roots in pieces.values() for r in roots]
     assert sorted(seen) == sorted(all_roots(9))
     assert len(seen) == len(set(seen))
 
@@ -124,7 +124,8 @@ def test_bigrade_partitions_all_roots(data):
     x1 = grading_element_of(Pyramid(lam1, left_aligned_offsets(lam1)))
     x2 = grading_element_of(Pyramid(lam2, left_aligned_offsets(lam2)))
     pieces = bigrade(BiGrading(x1, x2))
-    assert sum(p.dim for p in pieces.values()) == n * n - 1
+    assert (0, 0) in pieces
+    assert sum(len(roots) for roots in pieces.values()) + n - 1 == n * n - 1
 
 
 # ----------------------------------------------------------------------
@@ -132,27 +133,26 @@ def test_bigrade_partitions_all_roots(data):
 # ----------------------------------------------------------------------
 
 
-def _complement(f1, piece):
-    """Pivot roots of the echelonized ad(f1)-kernel on a piece."""
-    _kernel, pivots = kernel_on_basis(f1, piece.roots)
-    return [piece.roots[k] for k in pivots]
+def _complement(f1, roots):
+    """Pivot roots of the echelonized ad(f1)-kernel on a cell's roots."""
+    _kernel, pivots = kernel_on_basis(f1, roots)
+    return [roots[k] for k in pivots]
 
 
 def test_centralizer_of_zero_is_whole_piece():
-    piece = BiGradedPiece(3, (0, 1), (Root(1, 2), Root(1, 3)))
-    kernel, _pivots = kernel_on_basis(ExactMatrix.zero(3), piece.roots)
-    assert kernel == piece.basis()
+    roots = (Root(1, 2), Root(1, 3))
+    kernel, _pivots = kernel_on_basis(ExactMatrix.zero(3), roots)
+    assert kernel == [E(3, *root) for root in roots]
 
 
 def test_centralizer_empty_piece():
-    piece = BiGradedPiece(2, (0, 1), ())
-    assert kernel_on_basis(E(2, 2, 1), piece.roots)[0] == []
+    assert kernel_on_basis(E(2, 2, 1), ())[0] == []
 
 
 def test_centralizer_sl9_matches_index_formula():
     f1, _f2, _fc, bi = _case_one_pair(3, 3, 1)
-    piece01 = bigrade(bi)[(0, 1)]
-    assert piece01.roots == (
+    roots01 = bigrade(bi)[(0, 1)]
+    assert roots01 == (
         Root(1, 3),
         Root(2, 3),
         Root(4, 6),
@@ -160,24 +160,18 @@ def test_centralizer_sl9_matches_index_formula():
         Root(7, 9),
         Root(8, 9),
     )
-    assert kernel_on_basis(f1, piece01.roots)[0] == _ghost_formula(3, 3, 1)
+    assert kernel_on_basis(f1, roots01)[0] == _ghost_formula(3, 3, 1)
 
 
 def test_omega_vacuous_when_both_pieces_vanish():
-    empty01 = BiGradedPiece(2, (0, 1), ())
-    empty10 = BiGradedPiece(2, (1, 0), ())
-    rows, nondegenerate = compute_omega(
-        E(2, 2, 1), _complement(E(2, 2, 1), empty01), empty10
-    )
+    rows, nondegenerate = compute_omega(E(2, 2, 1), _complement(E(2, 2, 1), ()), ())
     assert rows == []
     assert nondegenerate
 
 
 def test_omega_degenerate_for_zero_f1_with_nonzero_complementary_piece():
-    piece01 = BiGradedPiece(2, (0, 1), ())
-    piece10 = BiGradedPiece(2, (1, 0), (Root(1, 2),))
     rows, nondegenerate = compute_omega(
-        ExactMatrix.zero(2), _complement(ExactMatrix.zero(2), piece01), piece10
+        ExactMatrix.zero(2), _complement(ExactMatrix.zero(2), ()), (Root(1, 2),)
     )
     assert rows == []
     assert not nondegenerate
