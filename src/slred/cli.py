@@ -45,6 +45,11 @@ MAX_VERIFY_N = 16
 #: 1.9e8 at N = 100, which would exhaust memory.
 MAX_ORBITS_N = 30
 
+#: The largest N each verb that takes partitions accepts; larger input exits 2
+#: before any work.  The README gives the slowest input measured at each bound.
+MAX_N = {"adjacent": 10000, "render": 10000, "path": 500, "reduce": 300,
+         "check-star": 300, "chain": 40, "screenings": 16}
+
 _EXIT_CODES = {"pass": 0, "fail": 1, "error": 2}
 
 
@@ -415,6 +420,11 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        bound = MAX_N.get(args.verb)
+        if bound is not None:
+            n = max(p.n for p in (args.lam, args.mu) if p is not None)
+            if n > bound:
+                raise ValueError(f"N must be at most {bound} for {args.verb}, got {n}")
         report = args.handler(args)
     except (ValueError, TypeError) as exc:
         report = Report("error", str(exc), {})

@@ -228,11 +228,10 @@ def is_good_grading(f: ExactMatrix, x: GradingElement) -> bool:
 
 @dataclass(frozen=True)
 class GoodPair:
-    """A verified good pair (f, x) with the pyramid it came from."""
+    """A verified good pair (f, x)."""
 
     f: ExactMatrix
     x: GradingElement
-    pyramid: Pyramid
 
 
 def good_pair(p: Pyramid) -> GoodPair:
@@ -243,7 +242,7 @@ def good_pair(p: Pyramid) -> GoodPair:
         raise ValueError(f"nilpotent of {p} has the wrong Jordan type")
     if not is_good_grading(f, x):
         raise ValueError(f"{p} does not define a good grading")
-    return GoodPair(f, x, p)
+    return GoodPair(f, x)
 
 
 # ----------------------------------------------------------------------

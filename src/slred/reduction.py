@@ -97,11 +97,7 @@ class CaseOneDatum:
     source tableau of the ambient lam.
     """
 
-    a: int
-    b: int
-    s: int
     lam: Partition
-    mu: Partition
     f_circ: ExactMatrix
     ghost_basis: tuple[ExactMatrix, ...]
 
@@ -129,8 +125,7 @@ def build_case_one(a: int, b: int, s: int) -> CaseOneDatum:
         )
         for i in range(1, step)
     )
-    mu = Partition([a + 1] + [b] * s + ([b - 1] if b > 1 else []))
-    return CaseOneDatum(a, b, s, lam, mu, f_circ, ghosts)
+    return CaseOneDatum(lam, f_circ, ghosts)
 
 
 def conjugator_height_two(a: int, b: int) -> ExactMatrix:

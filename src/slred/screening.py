@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Union
 
 from .lie import ExactMatrix, Root, SparseMatrix, bracket, inverse, trace_form
 from .pyramids import GoodPair, grading_element_of
 from .reduction import ReductionDatum
-from .star import BiGrading, bigrade, kernel_on_basis
+from .star import BiGrading, StarCertificate, bigrade
 
 # ----------------------------------------------------------------------
 # polynomials in tagged commuting variables
@@ -333,10 +334,6 @@ class PolyMatrix(SparseMatrix):
             return NotImplemented
         return PolyMatrix._of(self.n, {pos: q * p for pos, q in self._e.items()} if p else {})
 
-    def support(self) -> list[tuple[int, int]]:
-        """Positions carrying a nonzero entry, sorted."""
-        return sorted(self._e)
-
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {p!r}" for (i, j), p in self.items())
         return f"PolyMatrix({self.n}, {{{body}}})"
@@ -382,7 +379,8 @@ def exp_nilpotent(m: PolyMatrix) -> PolyMatrix:
 
 @dataclass(frozen=True)
 class UnipotentChart:
-    """A bracket-closed set of positive roots with first-kind coordinates."""
+    """A bracket-closed set of positive roots with first-kind coordinates.
+    Its coordinate matrix is built once and never modified."""
 
     n: int
     roots: tuple[Root, ...]
@@ -402,10 +400,14 @@ class UnipotentChart:
                         f"chart is not closed under bracket: ({i},{j})+({j},{k})"
                     )
 
-    def coordinate_matrix(self) -> PolyMatrix:
+    @cached_property
+    def _coordinates(self) -> PolyMatrix:
         return PolyMatrix(
             self.n, {tuple(root): Poly.variable("z", root) for root in self.roots}
         )
+
+    def coordinate_matrix(self) -> PolyMatrix:
+        return self._coordinates
 
     def generic_element(self) -> PolyMatrix:
         return exp_nilpotent(self.coordinate_matrix())
@@ -429,15 +431,6 @@ def _negate_coordinates(m: PolyMatrix) -> PolyMatrix:
             for pos, p in m.items()
         },
     )
-
-
-def _check_on_chart(w: ExactMatrix, chart: UnipotentChart) -> None:
-    if w.n != chart.n:
-        raise ValueError(f"size mismatch: {w.n} vs chart over sl_{chart.n}")
-    have = {tuple(r) for r in chart.roots}
-    for (i, j), _ in w.items():
-        if (i, j) not in have:
-            raise ValueError(f"element has support at ({i},{j}) outside the chart")
 
 
 #: The Bernoulli numbers B_0, B_1, ... with B_1 = -1/2, extended on demand
@@ -476,16 +469,16 @@ def _bernoulli_series(z: PolyMatrix, w: ExactMatrix) -> PolyMatrix:
     raise ValueError("matrix is not nilpotent")
 
 
-def _read_chart_coefficients(
-    eps: PolyMatrix, chart: UnipotentChart, action: str
-) -> dict[Root, Poly]:
-    have = {tuple(r) for r in chart.roots}
-    for i, j in eps.support():
+def _translation(w: ExactMatrix, chart: UnipotentChart, z: PolyMatrix) -> dict[Root, Poly]:
+    """(ad z / (e^{ad z} - 1))(w) on the chart's roots, for z = ±Z.  The chart
+    is bracket-closed and w lies on it, so the whole series does too."""
+    if w.n != chart.n:
+        raise ValueError(f"size mismatch: {w.n} vs chart over sl_{chart.n}")
+    have = set(chart.roots)
+    for (i, j), _ in w.items():
         if (i, j) not in have:
-            raise ValueError(
-                f"{action} action leaves the chart at ({i},{j}); "
-                "the root set is not closed under the action"
-            )
+            raise ValueError(f"element has support at ({i},{j}) outside the chart")
+    eps = _bernoulli_series(z, w)
     return {root: eps.entry(*root) for root in chart.roots}
 
 
@@ -496,9 +489,7 @@ def left_action_of(w: ExactMatrix, chart: UnipotentChart) -> dict[Root, Poly]:
     with P = (ad Z / (e^{ad Z} - 1))(w), a finite series because ad Z is
     nilpotent (Hall, Lie Groups, Lie Algebras, and Representations, 5.4).
     """
-    _check_on_chart(w, chart)
-    eps = _bernoulli_series(chart.coordinate_matrix(), w)
-    return _read_chart_coefficients(eps, chart, "left")
+    return _translation(w, chart, chart.coordinate_matrix())
 
 
 def right_action_of(w: ExactMatrix, chart: UnipotentChart) -> dict[Root, Poly]:
@@ -507,9 +498,7 @@ def right_action_of(w: ExactMatrix, chart: UnipotentChart) -> dict[Root, Poly]:
     log(e^Z·e^{tw}) = Z + t·(ad Z / (1 - e^{-ad Z}))(w) + O(t^2), and
     x / (1 - e^{-x}) = (-x) / (e^{-x} - 1): the left series at -Z.
     """
-    _check_on_chart(w, chart)
-    eps = _bernoulli_series(-chart.coordinate_matrix(), w)
-    return _read_chart_coefficients(eps, chart, "right")
+    return _translation(w, chart, -chart.coordinate_matrix())
 
 
 def left_action_coeffs(i: int, chart: UnipotentChart) -> dict[Root, Poly]:
@@ -546,15 +535,12 @@ def _positive_roots(roots: Iterable[Root]) -> list[Root]:
     return [r for r in roots if r.is_positive]
 
 
-def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, cells: dict) -> OmegaSplit:
+def _omega_split(f1: ExactMatrix, roots01: tuple[Root, ...], cert: StarCertificate) -> OmegaSplit:
+    """The split of cell (0,1), with roots `roots01`, read off a passed
+    certificate's ad(f1)-kernel, complement and character."""
     n = f1.n
-    roots01 = _positive_roots(cells.get((0, 1), ()))
-    roots10 = _positive_roots(cells.get((1, 0), ()))
-
-    kernel, pivots = kernel_on_basis(f1, roots01)
-    complement = [ExactMatrix.unit(n, *roots01[p]) for p in pivots]
-
-    consts = [trace_form(f_circ, g) for g in kernel]
+    kernel, consts, f_circ = list(cert.ghost_basis), cert.character, cert.f_circ
+    complement = [ExactMatrix.unit(n, *root) for root in cert.complement]
     anchor = next((l for l, c in enumerate(consts) if c), None)
     if anchor is not None:
         for idx, u in enumerate(complement):
@@ -562,18 +548,8 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, cells: dict) -> OmegaSpli
             if c:
                 complement[idx] = u - kernel[anchor] * (c / consts[anchor])
 
-    n_pairs = len(complement)
-    if len(roots10) != n_pairs:
-        raise ValueError(
-            f"pairing block is not square: {n_pairs} complement vectors "
-            f"against {len(roots10)} vectors in the (1,0) cell"
-        )
-
     u_basis = complement + kernel
-    pivot_set = set(pivots)
-    roots = [roots01[k] for k in pivots] + [
-        r for k, r in enumerate(roots01) if k not in pivot_set
-    ]
+    roots = list(cert.complement) + [r for r in roots01 if r not in cert.complement]
     u_duals = []
     if u_basis:
         # Row r holds the coordinates of u_r on the cell's roots, pivots
@@ -594,10 +570,10 @@ def _omega_split(f1: ExactMatrix, f_circ: ExactMatrix, cells: dict) -> OmegaSpli
         ]
 
     return OmegaSplit(
-        pairs=n_pairs,
+        pairs=len(complement),
         u_duals=tuple(u_duals),
         v_duals=tuple(bracket(f1, u) for u in complement),
-        ghost_constants=tuple(consts),
+        ghost_constants=consts,
     )
 
 
@@ -618,14 +594,6 @@ class ScreeningSet:
     coefficients: tuple[Poly, ...]
     chart_roots: tuple[Root, ...]
     split: OmegaSplit
-
-    def coefficient(self, i: int) -> Poly:
-        """The coefficient of the i-th simple root, for 1 <= i < n."""
-        if not 1 <= i <= len(self.coefficients):
-            raise IndexError(
-                f"simple root index {i} out of range 1..{len(self.coefficients)}"
-            )
-        return self.coefficients[i - 1]
 
     def to_json(self) -> dict:
         return {
@@ -672,8 +640,10 @@ def screening_pair(
     chart (Genra, Screening operators for W-algebras, 2017): the bigrading,
     the chart and its generic element, the omega split, each (0,0) left
     action and each conjugated unit ginv·E_i·g with its pairings against
-    the split's duals are computed once and shared.  For a good pair the
-    two sides coincide apart from the label.
+    the split's duals are computed once and shared.  The split reads the
+    ad(f1)-kernel, its complement and the ghost constants off the datum's
+    certificate.  For a good pair the two sides coincide apart from the
+    label.
     """
     if isinstance(datum, ReductionDatum):
         f1, f2, f_circ = datum.f_lam, datum.f_mu_tilde, datum.f_circ
@@ -690,7 +660,12 @@ def screening_pair(
     n = f1.n
     cells = bigrade(bi)
     chart = UnipotentChart(n, _positive_roots(cells[(0, 0)]))
-    split = _omega_split(f1, f_circ, cells)
+    split = (
+        _omega_split(f1, cells.get((0, 1), ()), datum.certificate)
+        if isinstance(datum, ReductionDatum)
+        # x1 = x2 leaves cells (0,1) and (1,0) empty
+        else OmegaSplit(0, (), (), ())
+    )
     g = chart.generic_element()
     ginv = _negate_coordinates(g)
 

@@ -151,7 +151,9 @@ class StarCertificate:
     """Outcome of the two-grading compatibility check, with exact witnesses.
 
     `violations` has one entry per False condition, so the certificate
-    passes exactly when it is empty.
+    passes exactly when it is empty.  `complement` lists the pivot roots of
+    cell (0,1), which index the rows of `omega_matrix`; the payload does not
+    carry it.
     """
 
     n: int
@@ -163,6 +165,7 @@ class StarCertificate:
     good_pair_1: bool
     good_pair_2: bool
     ghost_basis: tuple[ExactMatrix, ...]
+    complement: tuple[Root, ...]
     omega_matrix: tuple[tuple[Fraction, ...], ...]
     f_circ: ExactMatrix
     character: tuple[Fraction, ...]
@@ -274,7 +277,7 @@ def check_star(
     roots01 = cells.get((0, 1), ())
     roots10 = cells.get((1, 0), ())
     ghost_basis, pivots = kernel_on_basis(f1, roots01)
-    complement = [roots01[k] for k in pivots]
+    complement = tuple(roots01[k] for k in pivots)
     omega, nondegenerate = compute_omega(f1, complement, roots10)
     if not nondegenerate:
         violations["omega"] = [
@@ -300,6 +303,7 @@ def check_star(
         omega_nondegenerate=nondegenerate,
         **flags,
         ghost_basis=tuple(ghost_basis),
+        complement=complement,
         omega_matrix=tuple(tuple(row) for row in omega),
         f_circ=f_circ,
         character=tuple(trace_form(f_circ, g) for g in ghost_basis),

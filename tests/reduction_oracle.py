@@ -63,13 +63,14 @@ def _embedded_conjugator(inner: CaseOneDatum) -> ExactMatrix:
     through the order isomorphism onto those labels and as the identity
     on every interior row.
     """
-    g2 = conjugator_height_two(inner.a, inner.b)
-    source = align_for_theorem(inner.lam, 1, inner.s + 2, "source")
+    parts = inner.lam.parts  # [a, b^(s+1)]
+    g2 = conjugator_height_two(parts[0], parts[-1])
+    source = align_for_theorem(inner.lam, 1, len(parts), "source")
     outer = tuple(
         sorted(
             lab
             for (_x, row), lab in source.labels.items()
-            if row in (1, inner.s + 2)
+            if row in (1, len(parts))
         )
     )
     return _transport(g2, outer, inner.lam.n, identity_off=True)

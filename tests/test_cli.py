@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from jsonschema import validate
 
 import slred.cli
-from slred.cli import MAX_ORBITS_N, MAX_VERIFY_N, Report, emit, main, verify_all
+from slred.cli import MAX_N, MAX_ORBITS_N, MAX_VERIFY_N, Report, emit, main, verify_all
 
 DATA = Path(__file__).parent / "data"
 
@@ -374,6 +375,31 @@ class TestExitCodes:
         code, _out, err = _run(capsys, "orbits", "31")
         assert code == 2
         assert "at most 30" in err
+
+    @pytest.mark.parametrize("verb", sorted(MAX_N))
+    def test_partition_bounds_are_enforced_before_any_work(self, capsys, verb):
+        bound = MAX_N[verb]
+        start = time.perf_counter()
+        code, _out, err = _run(capsys, verb, f"{bound},1", str(bound + 1))
+        assert time.perf_counter() - start < 0.2
+        assert code == 2
+        assert f"error: N must be at most {bound} for {verb}, got {bound + 1}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "99999999999999999999"),
+            ("reduce", "2", "99999999999999999999"),
+            ("screenings", ",".join(["1"] * 20), "2," + ",".join(["1"] * 18)),
+        ],
+    )
+    def test_huge_partitions_exit_two_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, doc = _run_json(capsys, *argv)
+        assert time.perf_counter() - start < 0.2
+        assert code == 2
+        validate(doc, _schema())
+        assert doc["summary"].startswith("N must be at most")
 
     def test_error_report_in_json_mode_validates(self, capsys):
         code, doc = _run_json(capsys, "orbits", "0")

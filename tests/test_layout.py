@@ -8,7 +8,10 @@ level, so a stale export fails here and not only on `import *`.  Every function 
 name it wraps, so a rename fails here and not only in a traced run.  Every
 top-level function or class of the package, and every method but a dunder,
 must be referenced by name outside its own definition, in `src/`, `tests/`
-or `perfbench/`, so code that nothing reads fails here.
+or `perfbench/`, so code that nothing reads fails here.  Every dataclass
+field, `NamedTuple` field and `__slots__` entry of the package must be read
+by the program: by an attribute access in `src/` or `perfbench/`, or as a
+key in a `to_json`, so a field only tests look at fails here too.
 """
 
 import ast
@@ -146,6 +149,72 @@ def _dead_names(package: dict, others, bench) -> list:
     return dead
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """Is the class a dataclass or a NamedTuple, whose annotations are fields?"""
+    for expr in node.decorator_list + node.bases:
+        target = expr.func if isinstance(expr, ast.Call) else expr
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("dataclass", "NamedTuple"):
+            return True
+    return False
+
+
+def _fields(tree: ast.Module):
+    """(qualified name, field) per dataclass field, NamedTuple field and
+    `__slots__` entry of a top-level class; a ClassVar is no field."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        record = _is_record(node)
+        for item in node.body:
+            if (
+                record
+                and isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+            ):
+                yield f"{node.name}.{item.target.id}", item.target.id
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for elt in ast.walk(item.value):
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        yield f"{node.name}.{elt.value}", elt.value
+
+
+def _field_reads(tree: ast.AST) -> set:
+    """Attributes a tree loads, and the keys of the dicts built in its `to_json`s."""
+    out = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "to_json":
+            out.update(
+                key.value
+                for d in ast.walk(node)
+                if isinstance(d, ast.Dict)
+                for key in d.keys
+                if isinstance(key, ast.Constant)
+            )
+    return out
+
+
+def _dead_fields(package: dict, bench) -> list:
+    """Fields of the package that neither the package nor `bench` reads."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reads = set()
+    for tree in [*trees.values(), *(ast.parse(source) for source in bench)]:
+        reads |= _field_reads(tree)
+    return [
+        f"{module}: {qualified}"
+        for module, tree in trees.items()
+        for qualified, name in _fields(tree)
+        if name not in reads
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_layout(path):
     assert _violations(path.read_text()) == []
@@ -214,6 +283,47 @@ def test_guard_flags_dead_names():
         "mod.py: Chart.orphan",
         "mod.py: countdown",
     ]
+
+
+def test_every_field_is_read():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _dead_fields(package, bench) == []
+
+
+def test_guard_flags_unread_fields():
+    package = {
+        "mod.py": (
+            "from dataclasses import dataclass\n"
+            "from typing import ClassVar, NamedTuple\n"
+            "@dataclass(frozen=True)\n"
+            "class Datum:\n"
+            "    lam: int\n"
+            "    mu: int\n"
+            "    shown: int\n"
+            "    kind: ClassVar[str] = 'datum'\n"
+            "    def to_json(self):\n"
+            "        return {'lam': self.lam, 'shown': 1}\n"
+            "class Move(NamedTuple):\n"
+            "    i: int\n"
+            "    j: int\n"
+            "class Grading:\n"
+            "    __slots__ = ('levels', '_cache')\n"
+            "    def __init__(self, levels):\n"
+            "        self.levels = levels\n"
+            "        self._cache = None\n"
+            "    def width(self, move):\n"
+            "        return len(self.levels) + move.i\n"
+        ),
+    }
+    # only the benchmark's source reads `mu` and `j`; a store is no read
+    bench = ["def timed(d, m):\n    return d.mu if m.j else 0\n"]
+    assert _dead_fields(package, []) == [
+        "mod.py: Datum.mu",
+        "mod.py: Move.j",
+        "mod.py: Grading._cache",
+    ]
+    assert _dead_fields(package, bench) == ["mod.py: Grading._cache"]
 
 
 def test_traced_functions_resolve():

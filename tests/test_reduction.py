@@ -81,8 +81,8 @@ def test_case_one_sl2():
     datum = build_case_one(1, 1, 0)
     assert datum.ghost_basis == (E(2, 1, 2),)
     assert datum.f_circ == E(2, 2, 1)
-    assert build_reduction(datum.lam, datum.mu).f_lam.is_zero()
-    assert datum.mu == Partition([2])
+    assert datum.lam == Partition([1, 1])
+    assert build_reduction(datum.lam, [2]).f_lam.is_zero()
 
 
 def test_case_one_sl3():
@@ -103,7 +103,7 @@ def test_case_one_sl9():
 
 def test_case_one_two_rows():
     datum = build_case_one(3, 2, 0)
-    assert build_reduction(datum.lam, datum.mu).f_lam == _sum(5, (2, 1), (4, 2), (5, 3))
+    assert build_reduction(datum.lam, [4, 1]).f_lam == _sum(5, (2, 1), (4, 2), (5, 3))
     assert datum.f_circ == _sum(5, (3, 2), (5, 4))
     assert datum.ghost_basis == (_sum(5, (2, 3), (4, 5)),)
 
@@ -435,7 +435,8 @@ def test_embedding_window_restricts_to_inner_datum():
     window = datum.embedding_window
     assert len(window) == inner.lam.n == 14
     assert _restrict(datum.f_circ, window) == inner.f_circ
-    assert _restrict(datum.f_lam, window) == build_reduction(inner.lam, inner.mu).f_lam
+    # the case-I move [5, 3^3] -> [6, 3^2, 2] on the window rows
+    assert _restrict(datum.f_lam, window) == build_reduction(inner.lam, [6, 3, 3, 2]).f_lam
     assert [_restrict(g, window) for g in datum.ghost_basis] == list(
         inner.ghost_basis
     )

@@ -23,7 +23,7 @@ from slred.lie import ExactMatrix, Root, bracket, trace_form
 from slred.orbits import Partition, box_move_witness, partitions_of
 from slred.pyramids import Pyramid, good_pair, grading_element_of, left_aligned_offsets
 from slred.reduction import build_reduction
-from slred.star import BiGrading, bigrade
+from slred.star import BiGrading, bigrade, kernel_on_basis
 from slred.screening import (
     Poly,
     PolyMatrix,
@@ -459,14 +459,6 @@ class TestG0Conjugate:
 
 
 class TestScreeningSetsForGoodPairs:
-    def test_coefficient_index_range(self):
-        sset = screening_coeffs(_left_pair((2, 1)))
-        assert sset.coefficient(1) is sset.coefficients[0]
-        assert sset.coefficient(2) is sset.coefficients[1]
-        for i in (-1, 0, 3):
-            with pytest.raises(IndexError, match="out of range"):
-                sset.coefficient(i)
-
     def test_principal_sl2(self):
         sset = screening_coeffs(_left_pair((2,)))
         assert sset.cases == ("I_11",)
@@ -475,8 +467,8 @@ class TestScreeningSetsForGoodPairs:
     def test_two_one_left_aligned(self):
         sset = screening_coeffs(_left_pair((2, 1)))
         assert sset.cases == ("I_11", "I_00")
-        assert sset.coefficient(1) == 1
-        assert sset.coefficient(2) == Poly.variable("beta", (2, 3))
+        assert sset.coefficients[0] == 1
+        assert sset.coefficients[1] == Poly.variable("beta", (2, 3))
         assert sset.chart_roots == (Root(2, 3),)
 
     def test_zero_orbit_gives_affine_screenings(self):
@@ -486,7 +478,7 @@ class TestScreeningSetsForGoodPairs:
         expected = Poly()
         for root, p in coeffs.items():
             expected = expected + p * Poly.variable("beta", root)
-        assert sset.coefficient(1) == expected
+        assert sset.coefficients[0] == expected
 
     def test_sides_coincide_for_a_good_pair(self):
         source = screening_coeffs(_left_pair((2, 1)), "source")
@@ -509,8 +501,8 @@ class TestScreeningSetsForData:
         source = screening_coeffs(datum, "source")
         target = screening_coeffs(datum, "target")
         assert source.cases == ("I_01",)
-        assert source.coefficient(1) == Poly.variable("beta", 1)
-        assert target.coefficient(1) == 1
+        assert source.coefficients[0] == Poly.variable("beta", 1)
+        assert target.coefficients[0] == 1
         assert target.split.pairs == 0
 
     def test_bershadsky_polyakov_step(self):
@@ -518,11 +510,11 @@ class TestScreeningSetsForData:
         source = screening_coeffs(datum, "source")
         target = screening_coeffs(datum, "target")
         assert source.cases == ("I_00", "I_01")
-        assert source.coefficient(1) == Poly.variable("beta", (1, 2))
-        assert source.coefficient(2) == (
+        assert source.coefficients[0] == Poly.variable("beta", (1, 2))
+        assert source.coefficients[1] == (
             -_z(1, 2) * Poly.variable("beta", 1) + Poly.variable("beta", 2)
         )
-        assert target.coefficient(2) == -_z(1, 2)
+        assert target.coefficients[1] == -_z(1, 2)
 
     def test_case_tags_of_a_two_row_move(self):
         sset = screening_coeffs(_datum((3, 2), (4, 1)))
@@ -741,6 +733,64 @@ class TestFourierCompare:
         assert other.split != source.split
         with pytest.raises(ValueError, match="incompatible"):
             fourier_compare(source, dataclasses.replace(target, split=other.split))
+
+
+# ----------------------------------------------------------------------
+# facts that screening reads without checking them again
+# ----------------------------------------------------------------------
+
+
+def _cells(datum):
+    bi = BiGrading(grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu))
+    return bi, bigrade(bi)
+
+
+def test_the_certificate_fixes_the_split_cells_on_every_box_move():
+    """For every box move with N <= 10, cells (0,1) and (1,0) hold only
+    positive roots, and the certificate's complement is the pivot roots of the
+    ad(f_lam)-kernel on cell (0,1): the omega split reads both as they are."""
+    checked = 0
+    for n in range(2, 11):
+        for lam, mu in _box_moves(n):
+            datum = build_reduction(lam, mu)
+            _bi, cells = _cells(datum)
+            roots01, roots10 = cells[(0, 1)], cells.get((1, 0), ())
+            assert all(root.is_positive for root in roots01 + roots10), (lam, mu)
+            _kernel, pivots = kernel_on_basis(datum.f_lam, roots01)
+            assert datum.certificate.complement == tuple(
+                roots01[k] for k in pivots
+            ), (lam, mu)
+            checked += 1
+    assert checked == 229
+
+
+def _stays_on_chart(z, w, chart):
+    have = set(chart.roots)
+    return all(pos in have for pos, _p in screening._bernoulli_series(z, w).items())
+
+
+def test_translation_series_stay_on_their_chart():
+    """The series behind every (0,0) left action of every box move with
+    N <= 10, and behind every simple root's left and right action on the full
+    charts of sl_2 ... sl_5, is supported on the chart, so reading it on the
+    chart's roots drops nothing."""
+    checked = 0
+    for n in range(2, 11):
+        for lam, mu in _box_moves(n):
+            bi, cells = _cells(build_reduction(lam, mu))
+            chart = UnipotentChart(n, screening._positive_roots(cells[(0, 0)]))
+            for i in range(1, n):
+                if bi.degree_of(Root(i, i + 1)) == (0, 0):
+                    w = ExactMatrix.unit(n, i, i + 1)
+                    assert _stays_on_chart(chart.coordinate_matrix(), w, chart), (lam, mu, i)
+                    checked += 1
+    assert checked == 698
+    for n in range(2, 6):
+        chart = UnipotentChart(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
+        z = chart.coordinate_matrix()
+        for i in range(1, n):
+            w = ExactMatrix.unit(n, i, i + 1)
+            assert _stays_on_chart(z, w, chart) and _stays_on_chart(-z, w, chart), (n, i)
 
 
 # ----------------------------------------------------------------------

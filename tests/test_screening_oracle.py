@@ -102,6 +102,14 @@ def test_full_sl5_chart_matches_the_log_route_on_every_root_vector():
 
 @given(chart=_charts())
 @settings(max_examples=40, deadline=None)
+def test_each_chart_builds_one_coordinate_matrix(chart):
+    z = chart.coordinate_matrix()
+    assert chart.coordinate_matrix() is z
+    assert from_package(z) == screening_oracle.coordinate_matrix(chart)
+
+
+@given(chart=_charts())
+@settings(max_examples=40, deadline=None)
 def test_generic_inverse_is_the_exponential_of_minus_z(chart):
     g = chart.generic_element()
     ginv = _negate_coordinates(g)
@@ -224,7 +232,9 @@ def test_omega_split_matches_the_trace_form_route_on_every_box_move():
                         grading_element_of(datum.pyr_lam), grading_element_of(datum.pyr_mu)
                     )
                 )
-                split = _omega_split(datum.f_lam, datum.f_circ, pieces)
+                split = _omega_split(
+                    datum.f_lam, pieces.get((0, 1), ()), datum.certificate
+                )
                 oracle = screening_oracle.omega_split(datum.f_lam, datum.f_circ, pieces)
                 assert (
                     split.pairs, split.u_duals, split.v_duals, split.ghost_constants

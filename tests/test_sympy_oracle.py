@@ -62,7 +62,7 @@ def _sym_matrix(m):
 
 
 def _same(m: PolyMatrix, expected: sympy.Matrix) -> bool:
-    stores_no_zero = all(not m.entry(i, j).is_zero() for i, j in m.support())
+    stores_no_zero = all(not p.is_zero() for _pos, p in m.items())
     return stores_no_zero and (_sym_matrix(m) - expected).expand() == sympy.zeros(m.n, m.n)
 
 
